@@ -7,16 +7,17 @@
 //   single   — the streaming pipeline on one thread: 8-wide SoA lane waves
 //              for bucket insertion, sequential (window, segment) grid.
 //   pool     — the same pipeline with the bucket grid fanned out across an
-//              8-worker engine::BatchEngine pool (pool-parallel).
+//              engine::BatchEngine pool of min(8, hardware threads) workers
+//              (pool-parallel).
 //
 // The gate (tools/baselines/bench_msm_large_baseline.jsonl, enforced by
 // tools/run_benches.sh) holds the pool-parallel run >= 4x serial at equal
 // n. Both sides are measured in the same process seconds apart, so the
 // ratio is robust to shared-host load — the same in-process-ratio
-// methodology as the lane-executor gate (bench_lane_throughput). On this
-// one-core host the 4x comes from the IFMA lane kernels; add cores and the
-// pool fan-out stacks on top, so the gate only gets easier on bigger
-// machines.
+// methodology as the lane-executor gate (bench_lane_throughput). The 4x
+// comes from the IFMA lane kernels and the pool fan-out together; on one
+// core it rests on the lane kernels alone, and every added core stacks the
+// fan-out on top.
 //
 // Correctness at scale, also gated: all three configurations must produce
 // bitwise-identical affine results; a 256-term subsample of the exact same
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
     if (unsigned long long v = std::strtoull(env, nullptr, 0); v >= 1024) n = v;
 
   bench::print_header("MSM at zk scale — n = " + std::to_string(n) +
-                      " streamed terms, one core");
+                      " streamed terms, serial vs lane waves vs worker pool");
 
   std::vector<curve::Affine> pool = chain_pool(16384, 77);
 

@@ -47,6 +47,25 @@ struct DecodedWb {
   uint8_t unit = 0;
 };
 
+// The lane executor's form of the same streams (engine/lanes.hpp), with
+// registers renamed to state blocks (see build_lane_steps in decoded.cpp):
+// issues in execution order — per cycle the multiplier issues, then the
+// adder issues — each reading and writing block indices. A negative
+// operand -1 - k is the per-lane register select lane_selects[k].
+struct LaneStep {
+  enum class Op : uint8_t { kMul, kAdd, kSub, kConj, kInvalid };
+  Op op = Op::kInvalid;
+  int32_t a = 0, b = 0, r = 0;
+};
+
+// A kIndexed operand of lane_steps: select_maps[map] picks register r at
+// run time, whose value then sits in block lane_select_blocks[blocks + r].
+struct LaneSelect {
+  int map = 0;
+  int iter = 0;
+  size_t blocks = 0;
+};
+
 struct DecodedRom {
   int cycles = 0;
   int rf_slots = 0;
@@ -56,6 +75,11 @@ struct DecodedRom {
   std::vector<sched::SelectMap> select_maps;
   std::vector<std::pair<int, int>> preload;          // (input op id, reg)
   std::vector<std::pair<std::string, int>> outputs;  // name -> reg
+  std::vector<LaneStep> lane_steps;
+  std::vector<LaneSelect> lane_selects;              // kIndexed operands
+  std::vector<int32_t> lane_select_blocks;           // rf_slots per select
+  std::vector<std::pair<std::string, int>> lane_outputs;  // name -> block
+  int lane_blocks = 0;  // state blocks; preloaded register r is block r
   // SimStats are a function of the control stream alone (operand *values*
   // never change which events fire), so they are computed here, once.
   asic::SimStats stats;

@@ -1,7 +1,5 @@
 #include "engine/lanes.hpp"
 
-#include <algorithm>
-
 #include "asic/select_resolve.hpp"
 #include "common/check.hpp"
 
@@ -10,98 +8,33 @@ namespace fourq::engine {
 using field::Fp2;
 namespace lk = field::lanes;
 
-void LaneWorkspace::prepare(const DecodedRom& rom, int w) {
-  FOURQ_CHECK_MSG(w >= 1 && w <= kMaxLanes, "lane width out of range");
-  width = w;
-  rf_slots = rom.rf_slots;
-  mul_units = rom.cfg.num_multipliers;
-  add_units = rom.cfg.num_addsubs;
-  mul_ring = rom.cfg.mul_latency + 1;
-  add_ring = rom.cfg.addsub_latency + 1;
-  const size_t lw = static_cast<size_t>(w);
-  rf_re.assign(static_cast<size_t>(rf_slots) * lw, 0);
-  rf_im.assign(static_cast<size_t>(rf_slots) * lw, 0);
-  mul_re.assign(static_cast<size_t>(mul_units * mul_ring) * lw, 0);
-  mul_im.assign(static_cast<size_t>(mul_units * mul_ring) * lw, 0);
-  add_re.assign(static_cast<size_t>(add_units * add_ring) * lw, 0);
-  add_im.assign(static_cast<size_t>(add_units * add_ring) * lw, 0);
-  ga_re.assign(lw, 0);
-  ga_im.assign(lw, 0);
-  gb_re.assign(lw, 0);
-  gb_im.assign(lw, 0);
+static_assert(kMaxLanes <= static_cast<int>(lk::kWaveLanes),
+              "a wave block must hold every lane of a wave");
+
+void LaneWorkspace::prepare(const DecodedRom& rom, const lk::Kernels& k) {
+  kernels = &k;
+  // All-zero bytes are canonical zeros in every table's layout.
+  blocks.assign(static_cast<size_t>(rom.lane_blocks), lk::WaveBlock{});
+  ga = lk::WaveBlock{};
+  gb = lk::WaveBlock{};
 }
-
-namespace {
-
-// A W-lane operand: points either straight into the SoA state (kReg and
-// bus operands — the lanes of one slot are contiguous) or at gather
-// scratch (kIndexed, whose register index differs per lane).
-struct Slice {
-  const u128* re = nullptr;
-  const u128* im = nullptr;
-};
-
-inline Slice resolve(const DecodedSrc& s, int t, const DecodedRom& rom,
-                     const LaneWorkspace& ws, const trace::EvalContext* ctxs,
-                     int lanes, u128* gather_re, u128* gather_im) {
-  const size_t w = static_cast<size_t>(ws.width);
-  switch (s.kind) {
-    case DecodedSrc::Kind::kReg: {
-      const size_t base = static_cast<size_t>(s.reg) * w;
-      return {ws.rf_re.data() + base, ws.rf_im.data() + base};
-    }
-    case DecodedSrc::Kind::kMulBus: {
-      const size_t base =
-          static_cast<size_t>(s.unit * ws.mul_ring + t % ws.mul_ring) * w;
-      return {ws.mul_re.data() + base, ws.mul_im.data() + base};
-    }
-    case DecodedSrc::Kind::kAddBus: {
-      const size_t base =
-          static_cast<size_t>(s.unit * ws.add_ring + t % ws.add_ring) * w;
-      return {ws.add_re.data() + base, ws.add_im.data() + base};
-    }
-    case DecodedSrc::Kind::kIndexed: {
-      // The selected register depends on each lane's recoded scalar: the
-      // one per-lane scalar step in the loop.
-      const sched::SelectMap& map = rom.select_maps[static_cast<size_t>(s.map)];
-      for (int l = 0; l < lanes; ++l) {
-        const size_t base =
-            static_cast<size_t>(asic::resolve_select_reg(map, s.iter, ctxs[l])) * w +
-            static_cast<size_t>(l);
-        gather_re[l] = ws.rf_re[base];
-        gather_im[l] = ws.rf_im[base];
-      }
-      return {gather_re, gather_im};
-    }
-    case DecodedSrc::Kind::kNone:
-      break;
-  }
-  FOURQ_CHECK_MSG(false, "unresolvable decoded operand");
-}
-
-}  // namespace
 
 void run_lanes(const DecodedRom& rom, const trace::InputBindings* inputs,
                const trace::EvalContext* ctxs, int lanes, LaneWorkspace& ws) {
   FOURQ_CHECK_MSG(lanes >= 1 && lanes <= kMaxLanes, "lane count out of range");
-  if (ws.width < lanes || ws.rf_slots != rom.rf_slots ||
-      ws.mul_units != rom.cfg.num_multipliers ||
-      ws.mul_ring != rom.cfg.mul_latency + 1 ||
-      ws.add_units != rom.cfg.num_addsubs ||
-      ws.add_ring != rom.cfg.addsub_latency + 1) {
-    ws.prepare(rom, lanes);
-  }
-  const size_t w = static_cast<size_t>(ws.width);
+  const lk::Kernels& k = lk::active();
+  if (ws.kernels != &k || ws.blocks.size() != static_cast<size_t>(rom.lane_blocks))
+    ws.prepare(rom, k);
+  const lk::WaveOps& op = k.wave;
   const size_t n = static_cast<size_t>(lanes);
+  lk::WaveBlock* blk = ws.blocks.data();
 
   for (const auto& [op_id, reg] : rom.preload) {
-    const size_t base = static_cast<size_t>(reg) * w;
     for (int l = 0; l < lanes; ++l) {
       bool bound = false;
       for (const auto& [id, v] : inputs[l]) {
         if (id == op_id) {
-          lk::split(v, ws.rf_re[base + static_cast<size_t>(l)],
-                    ws.rf_im[base + static_cast<size_t>(l)]);
+          op.set(blk[reg], static_cast<size_t>(l), v.re().raw(), v.im().raw());
           bound = true;
           break;
         }
@@ -110,80 +43,54 @@ void run_lanes(const DecodedRom& rom, const trace::InputBindings* inputs,
     }
   }
 
-  const lk::Kernels& k = lk::active();
+  // Operand i: block i, or for i = -1 - k the per-lane select
+  // lane_selects[k] (the block depends on each lane's recoded scalar: the
+  // one per-lane scalar step in the loop), gathered into scratch. Results
+  // never alias an operand: a step's result block holds a value whose last
+  // read came before the step's cycle.
+  const auto operand = [&](int32_t i, lk::WaveBlock& scratch) -> const lk::WaveBlock& {
+    if (i >= 0) return blk[i];
+    const LaneSelect& s = rom.lane_selects[static_cast<size_t>(-1 - i)];
+    const sched::SelectMap& map = rom.select_maps[static_cast<size_t>(s.map)];
+    const int32_t* block_of = rom.lane_select_blocks.data() + s.blocks;
+    const lk::WaveBlock* src[kMaxLanes];
+    for (int l = 0; l < lanes; ++l)
+      src[l] = &blk[block_of[asic::resolve_select_reg(map, s.iter, ctxs[l])]];
+    op.gather(src, scratch, n);
+    return scratch;
+  };
 
-  // One pass over the cycle-sorted streams for all W lanes — the scalar
-  // executor's three cursors, amortized W ways. Results are written
-  // directly into the destination pipe-ring slot: (t + latency) mod R
-  // never collides with the slot bus reads use at cycle t (R = latency+1,
-  // latency >= 1), so the kernels never alias their own inputs.
-  size_t mi = 0, ai = 0, wi = 0;
-  const size_t mn = rom.mul.size(), an = rom.addsub.size(), wn = rom.writebacks.size();
-  const int mul_lat = rom.cfg.mul_latency, add_lat = rom.cfg.addsub_latency;
-  for (int t = 0; t < rom.cycles; ++t) {
-    for (; mi < mn && rom.mul[mi].cycle == t; ++mi) {
-      const DecodedIssue& u = rom.mul[mi];
-      const Slice a = resolve(u.a, t, rom, ws, ctxs, lanes, ws.ga_re.data(),
-                              ws.ga_im.data());
-      const Slice b = resolve(u.b, t, rom, ws, ctxs, lanes, ws.gb_re.data(),
-                              ws.gb_im.data());
-      const size_t out =
-          static_cast<size_t>(u.unit * ws.mul_ring + (t + mul_lat) % ws.mul_ring) * w;
-      k.fp2_mul(a.re, a.im, b.re, b.im, ws.mul_re.data() + out,
-                ws.mul_im.data() + out, n);
-    }
-    for (; ai < an && rom.addsub[ai].cycle == t; ++ai) {
-      const DecodedIssue& u = rom.addsub[ai];
-      const Slice a = resolve(u.a, t, rom, ws, ctxs, lanes, ws.ga_re.data(),
-                              ws.ga_im.data());
-      const size_t out =
-          static_cast<size_t>(u.unit * ws.add_ring + (t + add_lat) % ws.add_ring) * w;
-      u128* r_re = ws.add_re.data() + out;
-      u128* r_im = ws.add_im.data() + out;
-      switch (u.op) {
-        case trace::OpKind::kAdd: {
-          const Slice b = resolve(u.b, t, rom, ws, ctxs, lanes, ws.gb_re.data(),
-                                  ws.gb_im.data());
-          k.fp2_add(a.re, a.im, b.re, b.im, r_re, r_im, n);
-          break;
-        }
-        case trace::OpKind::kSub: {
-          const Slice b = resolve(u.b, t, rom, ws, ctxs, lanes, ws.gb_re.data(),
-                                  ws.gb_im.data());
-          k.fp2_sub(a.re, a.im, b.re, b.im, r_re, r_im, n);
-          break;
-        }
-        case trace::OpKind::kConj:
-          k.fp2_conj(a.re, a.im, r_re, r_im, n);
-          break;
-        default:
-          FOURQ_CHECK_MSG(false, "invalid decoded adder opcode");
-      }
-    }
-    for (; wi < wn && rom.writebacks[wi].cycle == t; ++wi) {
-      const DecodedWb& wb = rom.writebacks[wi];
-      const size_t src =
-          wb.from_mul
-              ? static_cast<size_t>(wb.unit * ws.mul_ring + t % ws.mul_ring) * w
-              : static_cast<size_t>(wb.unit * ws.add_ring + t % ws.add_ring) * w;
-      const u128* s_re = (wb.from_mul ? ws.mul_re : ws.add_re).data() + src;
-      const u128* s_im = (wb.from_mul ? ws.mul_im : ws.add_im).data() + src;
-      const size_t dst = static_cast<size_t>(wb.reg) * w;
-      std::copy_n(s_re, n, ws.rf_re.data() + dst);
-      std::copy_n(s_im, n, ws.rf_im.data() + dst);
+  for (const LaneStep& st : rom.lane_steps) {
+    lk::WaveBlock& r = blk[st.r];
+    switch (st.op) {
+      case LaneStep::Op::kMul:
+        op.mul(operand(st.a, ws.ga), operand(st.b, ws.gb), r, n);
+        break;
+      case LaneStep::Op::kAdd:
+        op.add(operand(st.a, ws.ga), operand(st.b, ws.gb), r, n);
+        break;
+      case LaneStep::Op::kSub:
+        op.sub(operand(st.a, ws.ga), operand(st.b, ws.gb), r, n);
+        break;
+      case LaneStep::Op::kConj:
+        op.conj(operand(st.a, ws.ga), r, n);
+        break;
+      case LaneStep::Op::kInvalid:
+        FOURQ_CHECK_MSG(false, "invalid lane step");
     }
   }
 }
 
 Fp2 lane_output(const DecodedRom& rom, const LaneWorkspace& ws,
                 const std::string& name, int lane) {
-  FOURQ_CHECK_MSG(lane >= 0 && lane < ws.width, "lane out of range");
-  for (const auto& [n, reg] : rom.outputs) {
+  FOURQ_CHECK_MSG(ws.kernels != nullptr && lane >= 0 && lane < kMaxLanes,
+                  "lane out of range");
+  for (const auto& [n, block] : rom.lane_outputs) {
     if (n == name) {
-      const size_t base =
-          static_cast<size_t>(reg) * static_cast<size_t>(ws.width) +
-          static_cast<size_t>(lane);
-      return lk::join(ws.rf_re[base], ws.rf_im[base]);
+      u128 re, im;
+      ws.kernels->wave.get(ws.blocks[static_cast<size_t>(block)], static_cast<size_t>(lane),
+                           re, im);
+      return lk::join(re, im);
     }
   }
   FOURQ_CHECK_MSG(false, "unknown output '" + name + "'");

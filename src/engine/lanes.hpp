@@ -4,29 +4,22 @@
 // asic::simulate(), but it still pays the full stream walk (cursor
 // advances, operand resolution, pipe-ring indexing) once per *job*. The
 // paper's ASIC never pays that per datum: one control ROM drives a wide
-// datapath. run_lanes() is the software analogue — SimWorkspace state is
-// refactored to struct-of-arrays over W lanes:
+// datapath. run_lanes() is the software analogue: the simulation state is
+// a set of field::lanes::WaveBlocks, each holding one value for all W
+// lanes, and a single pass over the ROM's lane steps executes all W jobs:
+// one decode walk, W datapaths. decode() renames registers to blocks
+// (DecodedRom::lane_steps), so the steps are the issues alone — a
+// writeback only re-points a register at its value's block, and no step
+// copies. Blocks are in the active kernel table's own layout (radix-2^52
+// limb rows for AVX-512), so operands go to the table's WaveOps as they
+// are and no field op converts them; values are converted only at preload
+// and output. Only kIndexed operands (digit-table selects, which depend on
+// each job's recoded scalar) gather per lane.
 //
-//     rf_re[slot * W + lane]            register file, real component
-//     rf_im[slot * W + lane]            register file, imaginary component
-//     mul_re[(unit * R + ring) * W + lane]   mul pipe rings (R = latency+1)
-//     add_re[(unit * R + ring) * W + lane]   add/sub pipe rings
-//
-// and a single pass over the cycle-sorted issue/writeback streams executes
-// all W jobs: one decode walk, one cursor advance, W datapaths. For a fixed
-// (slot | unit, ring) the W lanes are contiguous, so kReg and bus operands
-// are zero-copy slices handed straight to the field::lanes batch kernels
-// (which provide the per-op parallelism: W independent carry chains for
-// the portable kernels, 4 lanes per vector for AVX2), and results land
-// directly in the destination pipe-ring slot — safe because a ring of size
-// latency+1 puts the write index (t + latency) mod R never equal to the
-// read index t mod R for latency >= 1. Only kIndexed operands (digit-table
-// selects, which depend on each job's recoded scalar) gather per lane.
-//
-// Every value entering the SoA state is canonical and every kernel output
-// is canonical, so each lane's outputs are bitwise-equal to decoded::run()
-// and therefore to asic::simulate() — tests/test_lanes.cpp pins this for
-// W in {1, 2, 4, 8}.
+// Every value entering the state is canonical and WaveOps::get returns
+// canonical components, so each lane's outputs are bitwise-equal to
+// decoded::run() and therefore to asic::simulate() — tests/test_lanes.cpp
+// pins this for W in {1, 2, 4, 8} and ragged widths.
 #pragma once
 
 #include <string>
@@ -40,21 +33,16 @@ namespace fourq::engine {
 // Maximum lane width accepted by run_lanes / EngineOptions::lanes.
 inline constexpr int kMaxLanes = 8;
 
-// Reusable SoA execution state for one wave of W lanes. prepare() sizes
-// everything for (rom, width); run_lanes() re-prepares automatically when
-// either changed, so steady-state waves perform zero heap allocations.
+// Reusable execution state for waves of up to kMaxLanes lanes: the
+// rom.lane_blocks state blocks plus gather scratch. prepare() sizes it for
+// (rom, kernel table); run_lanes() re-prepares automatically when either
+// changed, so steady-state waves perform zero heap allocations.
 struct LaneWorkspace {
-  int width = 0;     // W this workspace is laid out for
-  int rf_slots = 0;
-  int mul_units = 0, add_units = 0;
-  int mul_ring = 0, add_ring = 0;  // latency + 1 slots per unit
+  const field::lanes::Kernels* kernels = nullptr;  // layout of the blocks
+  std::vector<field::lanes::WaveBlock> blocks;     // see DecodedRom::lane_steps
+  field::lanes::WaveBlock ga{}, gb{};              // kIndexed gather scratch
 
-  std::vector<u128> rf_re, rf_im;
-  std::vector<u128> mul_re, mul_im;  // [(unit * mul_ring + slot) * W + lane]
-  std::vector<u128> add_re, add_im;
-  std::vector<u128> ga_re, ga_im, gb_re, gb_im;  // kIndexed gather scratch
-
-  void prepare(const DecodedRom& rom, int width);
+  void prepare(const DecodedRom& rom, const field::lanes::Kernels& k);
 };
 
 // Executes the decoded program for `lanes` jobs at once. inputs[l] / ctxs[l]

@@ -6,9 +6,10 @@
 // the single written form of those contracts, shared by three layers that
 // must agree bit-for-bit:
 //
-//  * field/fp.hpp + fp2.cpp — the C++ golden model whose operations realise
-//    the transfer semantics (mul_wide < 2^254, reduce_wide accepts < 2^256,
-//    canonical results in [0, p));
+//  * field/alg2.hpp — the C++ stage code under Fp, Fp2 and the generic lane
+//    kernels, whose operations realise the transfer semantics (mul of
+//    canonical operands < 2^254, fold accepts < 2^256, canonical results
+//    in [0, p));
 //  * rtl/fp2_mul_pipeline.hpp — the stage-accurate pipeline model, whose
 //    rtl::StageWidths runtime-asserts these widths on one concrete run;
 //  * analysis/range — the abstract-interpretation pass that *proves* the
@@ -17,18 +18,18 @@
 //
 // Per-site transfer annotations (u = unreduced / lazy, c = canonical):
 //
-//   site                       operands          result magnitude   register
+//   site (alg2.hpp)            operands          result magnitude   register
 //   ------------------------   ---------------   ----------------   --------
-//   Fp::mul_wide (t0, t1)      < 2^127           <= a*b < 2^254     254 bits
+//   mul t0, t1                 < 2^127           <= a*b < 2^254     254 bits
 //   lazy sum t2, t3            c                 <= a+b < 2^128     128 bits
-//   lazy sum t5 = t0+t1        u254              < 2^255            256 bits
-//   mul_u128 t6 = t2*t3        < 2^128           < 2^256            256 bits
+//   add4 t5 = t0+t1            u254              < 2^255            256 bits
+//   mul t6 = t2*t3             < 2^128           < 2^256            256 bits
 //   t7 = t0-t1 (+p<<127)       t1 <= p*2^127     < 2^254            254 bits
 //   t8 = t6-t5 (Karatsuba      t6 >= t5 by the   <= t6 < 2^256      256 bits
 //        middle term)          product identity
-//   Fp::reduce_wide (t9/t10)   < 2^256           canonical          127 bits
-//   Fp::operator+ fold         sum < 2^128       canonical          127 bits
-//   Fp::operator- / negate     c                 canonical          127 bits
+//   fold (t9/t10)              < 2^256           canonical          127 bits
+//   fp2_sqr lazy operands      a+b, a+p-b, b+b   < 2^128            128 bits
+//   add / sub fold             sum < 2^128       canonical          127 bits
 #pragma once
 
 namespace fourq::field::bounds {
@@ -44,7 +45,7 @@ inline constexpr int kLazySumBits = 128;
 inline constexpr int kWideProductBits = 254;
 
 // The widest values in the datapath: t6 = t2*t3 < 2^256 and
-// t8 = t6 - (t0 + t1), both reduced by Fp::reduce_wide.
+// t8 = t6 - (t0 + t1), both reduced by alg2::fold.
 inline constexpr int kWideAccumulatorBits = 256;
 
 }  // namespace fourq::field::bounds

@@ -59,8 +59,13 @@ class Fp {
   // partial products are equal), so it needs 3 64x64 multiplies where the
   // general multiplication needs 4. Bit-identical to `*this * *this`.
   Fp sqr() const;
-  // Multiplicative inverse via Fermat (x^(p-2)); x must be non-zero.
+  // Multiplicative inverse via Fermat (x^(p-2)) by a fixed addition chain
+  // (126 squarings, 12 multiplications); x must be non-zero.
   Fp inv() const;
+  // x^((p-3)/4) = x^(2^125 - 1), the head of the inversion chain. For a
+  // non-zero square t, r = t^((p-3)/4) gives both the square root t*r and
+  // its inverse r (Fp2::sqrt uses this to avoid an inversion).
+  Fp pow_p34() const;
   // x^(2^n) — n repeated squarings.
   Fp sqr_n(int n) const;
   // Square root when one exists (p ≡ 3 mod 4, so x^((p+1)/4)).

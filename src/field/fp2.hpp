@@ -4,8 +4,9 @@
 //  * mul_schoolbook — 4 F_p multiplications (the conventional datapath the
 //    paper compares against, e.g. [15]);
 //  * mul_karatsuba  — the paper's Algorithm 2: 3 F_p multiplications with
-//    lazy reduction, implemented bit-exactly with the same wide (254/256-bit)
-//    intermediates and fold steps (t0..t10) the hardware uses.
+//    lazy reduction, with the same wide (254/256-bit) intermediates and
+//    fold steps (t0..t10) the hardware uses. The stage code lives in
+//    field/alg2.hpp and is shared with the generic lane kernels.
 // operator* uses the Karatsuba path; tests assert both paths agree.
 #pragma once
 

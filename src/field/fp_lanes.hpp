@@ -11,11 +11,11 @@
 // operands.
 //
 // Two implementations sit behind one dispatch table:
-//  * generic — portable __uint128_t lane loops. The arithmetic mirrors
-//    fp.cpp / fp2.cpp statement-for-statement but is laid out as flat
-//    loops over restrict pointers so the compiler can software-pipeline
-//    W independent carry chains (the ILP the scalar interpreter's
-//    one-value-at-a-time walk never exposes).
+//  * generic — portable lane loops over the scalar stage code in
+//    field/alg2.hpp, the same functions Fp and Fp2 call, laid out as flat
+//    loops so the compiler can software-pipeline W independent carry
+//    chains (the ILP the scalar interpreter's one-value-at-a-time walk
+//    never exposes).
 //  * avx2 — 4 lanes per vector on a 32-bit-limbs-in-64-bit-lanes
 //    representation (vpmuludq schoolbook products, branchless carry /
 //    borrow chains). Compiled only when FOURQ_LANES_AVX2 is enabled and
@@ -24,6 +24,10 @@
 //    instructions (vpmadd52luq/huq): a full 128x128 product is 17 fused
 //    multiply-adds across 8 lanes. Compiled only when FOURQ_LANES_AVX512
 //    is enabled and selected only when the CPU reports AVX512F + IFMA.
+//
+// Each table also carries WaveOps, the lane executor's ops on WaveBlocks
+// (below): F_{p^2} values of 8 lanes kept in the table's own layout
+// across a whole program run.
 //
 // Selection: active() probes the CPU once and prefers avx512 > avx2 >
 // generic; $FOURQ_FP_LANES overrides ("generic", "avx2", "avx512",
@@ -56,6 +60,35 @@
 #endif
 
 namespace fourq::field::lanes {
+
+// Lane-executor state. A WaveBlock holds one F_{p^2} value for up to
+// kWaveLanes lanes in the layout of the table that owns it, so the lane
+// executor's register file and pipe rings (engine/lanes.hpp) pass values
+// between field ops without converting them: canonical u128 re[8] then
+// im[8] for the generic and AVX2 tables, six radix-2^52 limb rows (re
+// limbs 0..2, im limbs 0..2, 8 lanes each) holding semi-reduced values
+// for AVX-512 (bounds in fp_lanes_avx512.cpp). Values enter and leave only
+// through WaveOps::set / get; get returns the canonical components, so
+// outputs are bitwise-equal to the scalar operators in every table.
+// All-zero bytes are zero in every layout.
+inline constexpr size_t kWaveLanes = 8;
+struct alignas(64) WaveBlock {
+  unsigned char bytes[384];
+};
+
+// Lane ops on WaveBlocks: lanes [0, n) of the result are defined (a table
+// may compute all kWaveLanes lanes). r may alias neither input.
+struct WaveOps {
+  void (*mul)(const WaveBlock& a, const WaveBlock& b, WaveBlock& r, size_t n);
+  void (*add)(const WaveBlock& a, const WaveBlock& b, WaveBlock& r, size_t n);
+  void (*sub)(const WaveBlock& a, const WaveBlock& b, WaveBlock& r, size_t n);
+  void (*conj)(const WaveBlock& a, WaveBlock& r, size_t n);
+  // Lane l of r = lane l of *src[l], for l < n (per-lane register selects).
+  void (*gather)(const WaveBlock* const* src, WaveBlock& r, size_t n);
+  // One lane in or out, as canonical components.
+  void (*set)(WaveBlock& b, size_t lane, u128 re, u128 im);
+  void (*get)(const WaveBlock& b, size_t lane, u128& re, u128& im);
+};
 
 // Lane kernels. Raw u128 values are canonical F_p elements (in [0, p));
 // U256 values are the unreduced wide products the lazy-reduction datapath
@@ -104,7 +137,44 @@ struct Kernels {
   // the MSM wave scheduler — pad to a multiple with duplicate lanes and
   // discard the padded outputs; 1 means padding buys nothing.
   int pt_group;
+
+  // The lane executor's ops on this table's WaveBlock layout.
+  WaveOps wave;
 };
+
+// WaveOps for the canonical u128 layout, built on a table's split re/im
+// fp2 kernels (the generic and AVX2 tables share it).
+namespace u128_wave {
+
+inline u128* re(WaveBlock& b) { return reinterpret_cast<u128*>(b.bytes); }
+inline const u128* re(const WaveBlock& b) { return reinterpret_cast<const u128*>(b.bytes); }
+inline u128* im(WaveBlock& b) { return re(b) + kWaveLanes; }
+inline const u128* im(const WaveBlock& b) { return re(b) + kWaveLanes; }
+
+using Fp2Op = void (*)(const u128*, const u128*, const u128*, const u128*, u128*, u128*,
+                       size_t);
+using Fp2UnOp = void (*)(const u128*, const u128*, u128*, u128*, size_t);
+
+template <Fp2Op Op>
+void binary(const WaveBlock& a, const WaveBlock& b, WaveBlock& r, size_t n) {
+  Op(re(a), im(a), re(b), im(b), re(r), im(r), n);
+}
+
+template <Fp2UnOp Op>
+void unary(const WaveBlock& a, WaveBlock& r, size_t n) {
+  Op(re(a), im(a), re(r), im(r), n);
+}
+
+void gather(const WaveBlock* const* src, WaveBlock& r, size_t n);
+void set(WaveBlock& b, size_t lane, u128 v_re, u128 v_im);
+void get(const WaveBlock& b, size_t lane, u128& v_re, u128& v_im);
+
+template <Fp2Op Mul, Fp2Op Add, Fp2Op Sub, Fp2UnOp Conj>
+constexpr WaveOps ops() {
+  return {binary<Mul>, binary<Add>, binary<Sub>, unary<Conj>, gather, set, get};
+}
+
+}  // namespace u128_wave
 
 // The portable implementation (always available).
 const Kernels& generic_kernels();

@@ -13,7 +13,7 @@
 //
 // Carry and borrow chains are branchless (shift/mask selects, no per-lane
 // branches), and the Karatsuba p<<127 correction is applied under a
-// per-lane borrow mask, mirroring fp2.cpp's conditional add. Outputs are
+// per-lane borrow mask, mirroring the masked add in alg2.hpp. Outputs are
 // canonical, hence bitwise-equal to the scalar operators.
 //
 // This translation unit is compiled with -mavx2 (see field/CMakeLists.txt);
@@ -203,8 +203,8 @@ inline V4 reduce_core(const V8& v) {
   const __m256i b3 = _mm256_and_si256(bcombine(v.l[6], v.l[7]), m31);
   // C = bits [255:254], < 4.
   const __m256i cc = _mm256_srli_epi64(v.l[7], 30);
-  // s = A + B (limb sums < 2^33), fold, then + C, fold again — the same two
-  // canonical steps as the scalar make_canonical(a + b) + Fp(c).
+  // s = A + B (limb sums < 2^33), fold, then + C, fold again. The scalar
+  // alg2::fold takes one step; both land on the unique canonical value.
   __m256i s0 = _mm256_add_epi64(a0, b0);
   __m256i c = _mm256_srli_epi64(s0, 32);
   s0 = _mm256_and_si256(s0, mask32());
@@ -433,6 +433,7 @@ void a_pt_addmix(u128* const* p, const u128* const* q, size_t n) {
 constexpr Kernels kAvx2 = {
     "avx2",    a_mul_wide, a_sqr_wide, a_reduce_wide, a_fp_mul,
     a_fp2_mul, a_fp2_add,  a_fp2_sub,  a_fp2_conj,   a_pt_addmix, 1,
+    u128_wave::ops<a_fp2_mul, a_fp2_add, a_fp2_sub, a_fp2_conj>(),
 };
 
 }  // namespace

@@ -6,18 +6,18 @@
 // F_p element split into 3 limbs of 52/52/23 bits, a full 128x128-bit
 // product is a 3x3 schoolbook: 9 lo + 8 hi instructions (the top-limb hi
 // term is provably zero) accumulating into 5 columns — ~2 multiply
-// instructions per lane where the scalar path retires ~12 mulx/add pairs.
-// That density, times 8 lanes per instruction, is what pushes the lane
-// executor past the ISSUE's 5x bar; the AVX2 kernel (32-bit limbs, 16
-// vpmuludq per 4 lanes) only breaks even with scalar mulx.
+// instructions per lane where the scalar path retires ~12 mulx/add pairs;
+// the AVX2 kernel (32-bit limbs, 16 vpmuludq per 4 lanes) is slower than
+// the scalar Algorithm 2 stage code.
 //
 // Column sums stay below 2^55 (at most 5 terms < 2^52 plus a carry), so
 // 64-bit accumulators never overflow before the carry sweep. Conditional
 // steps (the Karatsuba borrow correction, the canonical subtract-p) use
 // AVX-512 mask registers instead of blends. All outputs are canonical and
-// bitwise-equal to the scalar operators; the state arrays stay in the
-// canonical u128 layout and limb-splitting happens at load/store (a few
-// shifts per element, amortized over the 3x3 product).
+// bitwise-equal to the scalar operators; the u128-array kernels split
+// limbs at load/store (a few shifts per element). The lane executor's
+// wave ops at the end of this file skip even that: their state stays in
+// limbs, semi-reduced, between ops.
 //
 // This translation unit is compiled with -mavx512f -mavx512ifma (see
 // field/CMakeLists.txt); nothing here runs unless the dispatcher checked
@@ -577,9 +577,192 @@ void v_fp2_conj(const u128* are, const u128* aim, u128* rre, u128* rim,
   if (i < n) generic_kernels().fp2_conj(are + i, aim + i, rre + i, rim + i, n - i);
 }
 
+// --- lane-executor ops ------------------------------------------------------
+//
+// WaveBlock layout: six rows of 8 u64 — re limbs 0, 1, 2, then im limbs 0,
+// 1, 2 — with lane l in column l, so a wave op is loads, arithmetic,
+// stores: no radix conversion between ops. All 8 lanes are computed
+// regardless of n (unused lanes hold earlier or zero values).
+//
+// Values inside a wave are semi-reduced: every op accepts limbs l0, l1 <
+// 2^52 and l2 < 2^24 and returns some representative below 2^127 + 2^111
+// (< 2p) of the residue, with no conditional subtract. Only w_get
+// canonicalises, so outputs are the canonical bits whatever representative
+// the state held. The ops:
+//  * mul: F_{p^2} schoolbook in columns. Each product of 3-limb operands
+//    is 9 madd52lo + 8 madd52hi (hi of l2*l2 < 2^48 is zero), at most 5
+//    terms < 2^52 per column. im = a0*b1 + a1*b0 accumulates directly;
+//    re = a0*b0 - a1*b1 starts the a0*b0 columns at kReBias, a multiple of
+//    p whose columns are all >= 2^55 > 5 * 2^52, so subtracting the a1*b1
+//    columns never goes negative. All columns stay < 2^57.
+//  * reduce5: 2^156 = 2^29 and 2^208 = 2^81 (mod p) fold columns 3 and 4
+//    into limbs 0..2 at shifts 29 and 81, limb 2's bits >= 127 fold into
+//    limb 0, and one carry sweep leaves l0, l1 < 2^52, l2 < 2^23 + 2^7
+//    (value < 2^127 + 2^111).
+//  * add: limb sums, then the same fold + sweep. sub / conj: a - b + 4p,
+//    with 4p = [2^53 - 4, 2^53 - 2, 2^25 - 2] in limbs each >= the largest
+//    limb of b, so every limb difference is non-negative.
+
+inline uint64_t* rows(WaveBlock& b) { return reinterpret_cast<uint64_t*>(b.bytes); }
+inline const uint64_t* rows(const WaveBlock& b) {
+  return reinterpret_cast<const uint64_t*>(b.bytes);
+}
+
+inline V3 load_part(const WaveBlock& b, int part) {
+  const uint64_t* p = rows(b) + 24 * part;
+  return V3{{_mm512_load_si512(p), _mm512_load_si512(p + 8), _mm512_load_si512(p + 16)}};
+}
+
+inline void store_part(WaveBlock& b, int part, const V3& v) {
+  uint64_t* p = rows(b) + 24 * part;
+  _mm512_store_si512(p, v.l[0]);
+  _mm512_store_si512(p + 8, v.l[1]);
+  _mm512_store_si512(p + 16, v.l[2]);
+}
+
+// kReBias = 2^55 * (1 + 2^52 + 2^104 + 2^156 + 2^208) + (p - X), with X that
+// first sum reduced mod p: 2^55 + 2^107 + 2^32 + 2^84 + 2^9. Columns 0..2
+// carry the 3 limbs of p - X, so the whole value is 0 mod p.
+constexpr u128 kBiasResidue =
+    ((static_cast<u128>(1) << 127) - 1) -
+    ((static_cast<u128>(1) << 55) + (static_cast<u128>(1) << 107) +
+     (static_cast<u128>(1) << 32) + (static_cast<u128>(1) << 84) + (static_cast<u128>(1) << 9));
+constexpr uint64_t kBias = 1ull << 55;
+constexpr uint64_t kReBias[5] = {
+    kBias + (static_cast<uint64_t>(kBiasResidue) & 0xfffffffffffffull),
+    kBias + (static_cast<uint64_t>(kBiasResidue >> 52) & 0xfffffffffffffull),
+    kBias + static_cast<uint64_t>(kBiasResidue >> 104), kBias, kBias};
+
+// c[k] += a * b in columns (c[0..4], weights 2^(52k)).
+inline void mac(__m512i* c, const V3& a, const V3& b) {
+  c[0] = _mm512_madd52lo_epu64(c[0], a.l[0], b.l[0]);
+  c[1] = _mm512_madd52lo_epu64(c[1], a.l[0], b.l[1]);
+  c[1] = _mm512_madd52lo_epu64(c[1], a.l[1], b.l[0]);
+  c[1] = _mm512_madd52hi_epu64(c[1], a.l[0], b.l[0]);
+  c[2] = _mm512_madd52lo_epu64(c[2], a.l[0], b.l[2]);
+  c[2] = _mm512_madd52lo_epu64(c[2], a.l[1], b.l[1]);
+  c[2] = _mm512_madd52lo_epu64(c[2], a.l[2], b.l[0]);
+  c[2] = _mm512_madd52hi_epu64(c[2], a.l[0], b.l[1]);
+  c[2] = _mm512_madd52hi_epu64(c[2], a.l[1], b.l[0]);
+  c[3] = _mm512_madd52lo_epu64(c[3], a.l[1], b.l[2]);
+  c[3] = _mm512_madd52lo_epu64(c[3], a.l[2], b.l[1]);
+  c[3] = _mm512_madd52hi_epu64(c[3], a.l[0], b.l[2]);
+  c[3] = _mm512_madd52hi_epu64(c[3], a.l[1], b.l[1]);
+  c[3] = _mm512_madd52hi_epu64(c[3], a.l[2], b.l[0]);
+  c[4] = _mm512_madd52lo_epu64(c[4], a.l[2], b.l[2]);
+  c[4] = _mm512_madd52hi_epu64(c[4], a.l[1], b.l[2]);
+  c[4] = _mm512_madd52hi_epu64(c[4], a.l[2], b.l[1]);
+}
+
+// Limbs s0, s1, s2 < 2^58 -> semi-reduced: fold limb 2's bits >= 127 into
+// limb 0, then one carry sweep.
+inline V3 fold_sweep(__m512i s0, __m512i s1, __m512i s2) {
+  s0 = _mm512_add_epi64(s0, _mm512_srli_epi64(s2, 23));
+  s2 = _mm512_and_si512(s2, m23());
+  s1 = _mm512_add_epi64(s1, _mm512_srli_epi64(s0, 52));
+  s2 = _mm512_add_epi64(s2, _mm512_srli_epi64(s1, 52));
+  return V3{{_mm512_and_si512(s0, m52()), _mm512_and_si512(s1, m52()), s2}};
+}
+
+// Columns c[0..4] < 2^57 -> semi-reduced element.
+inline V3 reduce5(const __m512i* c) {
+  const __m512i s0 = _mm512_add_epi64(
+      c[0], _mm512_slli_epi64(_mm512_and_si512(c[3], m23()), 29));
+  const __m512i s1 = _mm512_add_epi64(
+      _mm512_add_epi64(c[1], _mm512_srli_epi64(c[3], 23)),
+      _mm512_slli_epi64(_mm512_and_si512(c[4], m23()), 29));
+  const __m512i s2 = _mm512_add_epi64(c[2], _mm512_srli_epi64(c[4], 23));
+  return fold_sweep(s0, s1, s2);
+}
+
+inline V3 add_semi_wave(const V3& a, const V3& b) {
+  return fold_sweep(_mm512_add_epi64(a.l[0], b.l[0]), _mm512_add_epi64(a.l[1], b.l[1]),
+                    _mm512_add_epi64(a.l[2], b.l[2]));
+}
+
+inline V3 sub_semi_wave(const V3& a, const V3& b) {
+  const __m512i f0 = _mm512_set1_epi64((1ll << 53) - 4);
+  const __m512i f1 = _mm512_set1_epi64((1ll << 53) - 2);
+  const __m512i f2 = _mm512_set1_epi64((1ll << 25) - 2);
+  return fold_sweep(_mm512_sub_epi64(_mm512_add_epi64(a.l[0], f0), b.l[0]),
+                    _mm512_sub_epi64(_mm512_add_epi64(a.l[1], f1), b.l[1]),
+                    _mm512_sub_epi64(_mm512_add_epi64(a.l[2], f2), b.l[2]));
+}
+
+void w_mul(const WaveBlock& a, const WaveBlock& b, WaveBlock& r, size_t) {
+  const V3 x0 = load_part(a, 0), x1 = load_part(a, 1);
+  const V3 y0 = load_part(b, 0), y1 = load_part(b, 1);
+  __m512i re[5], neg[5], im[5], im2[5];
+  for (int k = 0; k < 5; ++k) {
+    re[k] = _mm512_set1_epi64(static_cast<long long>(kReBias[k]));
+    neg[k] = im[k] = im2[k] = _mm512_setzero_si512();
+  }
+  mac(re, x0, y0);
+  mac(neg, x1, y1);
+  mac(im, x0, y1);
+  mac(im2, x1, y0);
+  for (int k = 0; k < 5; ++k) {
+    re[k] = _mm512_sub_epi64(re[k], neg[k]);
+    im[k] = _mm512_add_epi64(im[k], im2[k]);
+  }
+  store_part(r, 0, reduce5(re));
+  store_part(r, 1, reduce5(im));
+}
+
+void w_add(const WaveBlock& a, const WaveBlock& b, WaveBlock& r, size_t) {
+  store_part(r, 0, add_semi_wave(load_part(a, 0), load_part(b, 0)));
+  store_part(r, 1, add_semi_wave(load_part(a, 1), load_part(b, 1)));
+}
+
+void w_sub(const WaveBlock& a, const WaveBlock& b, WaveBlock& r, size_t) {
+  store_part(r, 0, sub_semi_wave(load_part(a, 0), load_part(b, 0)));
+  store_part(r, 1, sub_semi_wave(load_part(a, 1), load_part(b, 1)));
+}
+
+void w_conj(const WaveBlock& a, WaveBlock& r, size_t) {
+  V3 zero;
+  for (auto& v : zero.l) v = _mm512_setzero_si512();
+  store_part(r, 0, load_part(a, 0));
+  store_part(r, 1, sub_semi_wave(zero, load_part(a, 1)));
+}
+
+void w_gather(const WaveBlock* const* src, WaveBlock& r, size_t n) {
+  uint64_t* d = rows(r);
+  for (size_t l = 0; l < n; ++l) {
+    const uint64_t* s = rows(*src[l]);
+    for (size_t k = 0; k < 6; ++k) d[8 * k + l] = s[8 * k + l];
+  }
+}
+
+void w_set(WaveBlock& b, size_t lane, u128 re, u128 im) {
+  uint64_t* d = rows(b) + lane;
+  const u128 v[2] = {re, im};
+  for (size_t c = 0; c < 2; ++c) {
+    d[24 * c] = static_cast<uint64_t>(v[c]) & 0xfffffffffffffull;
+    d[24 * c + 8] = static_cast<uint64_t>(v[c] >> 52) & 0xfffffffffffffull;
+    d[24 * c + 16] = static_cast<uint64_t>(v[c] >> 104);
+  }
+}
+
+// Semi-reduced limbs -> canonical. Every wave value is below 2^127 + 2^111
+// < 2p, so one conditional subtract suffices (as alg2::canon).
+void w_get(const WaveBlock& b, size_t lane, u128& re, u128& im) {
+  const uint64_t* s = rows(b) + lane;
+  constexpr u128 kP = (static_cast<u128>(1) << 127) - 1;
+  u128 v[2];
+  for (size_t c = 0; c < 2; ++c) {
+    u128 x = static_cast<u128>(s[24 * c]) | (static_cast<u128>(s[24 * c + 8]) << 52) |
+             (static_cast<u128>(s[24 * c + 16]) << 104);
+    v[c] = (x + ((x + 1) >> 127)) & kP;
+  }
+  re = v[0];
+  im = v[1];
+}
+
 constexpr Kernels kAvx512 = {
     "avx512",  v_mul_wide, v_sqr_wide, v_reduce_wide, v_fp_mul,
     v_fp2_mul, v_fp2_add,  v_fp2_sub,  v_fp2_conj,   v_pt_addmix, 8,
+    {w_mul, w_add, w_sub, w_conj, w_gather, w_set, w_get},
 };
 
 }  // namespace

@@ -95,6 +95,29 @@ TEST(Fp, InverseIsInverse) {
   EXPECT_THROW(Fp().inv(), std::logic_error);
 }
 
+TEST(Fp, AdditionChainInverseMatchesFermatPower) {
+  // inv() runs the 2^127 - 3 addition chain; pow() is the generic
+  // square-and-multiply over the same exponent p - 2.
+  U256 p_minus_2;
+  sub(kP, U256(2), p_minus_2);
+  const Fp pm1 = Fp() - Fp::from_u64(1);
+  for (const Fp& a : {Fp::from_u64(1), Fp::from_u64(2), pm1})
+    EXPECT_EQ(a.inv(), a.pow(p_minus_2)) << a.to_hex();
+  Rng rng(34);
+  for (int i = 0; i < 10000; ++i) {
+    Fp a = rand_fp(rng);
+    if (a.is_zero()) continue;
+    ASSERT_EQ(a.inv(), a.pow(p_minus_2)) << a.to_hex();
+  }
+  EXPECT_THROW(Fp().inv(), std::logic_error);
+  // The chain's head, shared with Fp2::sqrt: x^((p-3)/4) = x^(2^125 - 1).
+  const U256 p34(~0ull, (uint64_t{1} << 61) - 1, 0, 0);
+  for (int i = 0; i < 100; ++i) {
+    Fp a = rand_fp(rng);
+    EXPECT_EQ(a.pow_p34(), a.pow(p34)) << a.to_hex();
+  }
+}
+
 TEST(Fp, FermatLittleTheorem) {
   Rng rng(26);
   U256 p_minus_1;

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "analysis/range/range.hpp"
 #include "common/rng.hpp"
+#include "field/fp_lanes.hpp"
+#include "trace/ir.hpp"
 
 namespace fourq::field {
 namespace {
@@ -13,29 +18,86 @@ Fp2 rand_fp2(Rng& rng) {
   return Fp2(Fp::from_u256(rng.next_u256()), Fp::from_u256(rng.next_u256()));
 }
 
-TEST(Fp2, KaratsubaMatchesSchoolbook) {
-  Rng rng(41);
-  for (int i = 0; i < 500; ++i) {
-    Fp2 x = rand_fp2(rng), y = rand_fp2(rng);
-    EXPECT_EQ(Fp2::mul_karatsuba(x, y), Fp2::mul_schoolbook(x, y));
+// Boundary components: {0, 1, 2, 2^64 - 1, 2^64, 2^126, p - 2, p - 1}.
+std::vector<Fp> grid_values() {
+  const Fp pm1 = Fp() - Fp::from_u64(1);
+  return {Fp(),
+          Fp::from_u64(1),
+          Fp::from_u64(2),
+          Fp::from_u64(~0ull),
+          Fp::from_words(0, 1),
+          Fp::from_words(0, uint64_t{1} << 62),
+          pm1 - Fp::from_u64(1),
+          pm1};
+}
+
+// The four independent products of x[i] * y[i] must agree bitwise: the
+// Algorithm 2 stage code (mul_karatsuba), the eager 4-mul schoolbook, the
+// generic lane kernel and the range analysis' U512 interpreter (eval_wide)
+// on the expanded one-multiply datapath.
+void expect_products_agree(const std::vector<Fp2>& x, const std::vector<Fp2>& y) {
+  namespace range = analysis::range;
+  trace::Program prog;
+  const int a = prog.add_op({trace::OpKind::kInput, {}, {}, "a"});
+  const int b = prog.add_op({trace::OpKind::kInput, {}, {}, "b"});
+  const int m = prog.add_op({trace::OpKind::kMul, trace::Operand::of(a),
+                             trace::Operand::of(b), "m"});
+  prog.outputs.emplace_back(m, "m");
+  const range::ExpandResult ex = range::expand_program(prog);
+  const auto [in_a_re, in_a_im] = ex.op_nodes[static_cast<size_t>(a)];
+  const auto [in_b_re, in_b_im] = ex.op_nodes[static_cast<size_t>(b)];
+  const auto [out_re, out_im] = ex.op_nodes[static_cast<size_t>(m)];
+
+  const size_t n = x.size();
+  std::vector<u128> are(n), aim(n), bre(n), bim(n), rre(n), rim(n);
+  for (size_t i = 0; i < n; ++i) {
+    lanes::split(x[i], are[i], aim[i]);
+    lanes::split(y[i], bre[i], bim[i]);
+  }
+  lanes::generic_kernels().fp2_mul(are.data(), aim.data(), bre.data(), bim.data(),
+                                   rre.data(), rim.data(), n);
+  int mismatches = 0;
+  for (size_t i = 0; i < n && mismatches < 10; ++i) {
+    const Fp2 k = Fp2::mul_karatsuba(x[i], y[i]);
+    const std::vector<U512> v = range::eval_wide(
+        ex.wide,
+        {{in_a_re, U512(x[i].re().to_u256())}, {in_a_im, U512(x[i].im().to_u256())},
+         {in_b_re, U512(y[i].re().to_u256())}, {in_b_im, U512(y[i].im().to_u256())}},
+        {});
+    const bool ok = k == Fp2::mul_schoolbook(x[i], y[i]) &&
+                    k == lanes::join(rre[i], rim[i]) &&
+                    v[static_cast<size_t>(out_re)] == U512(k.re().to_u256()) &&
+                    v[static_cast<size_t>(out_im)] == U512(k.im().to_u256());
+    if (!ok) {
+      ++mismatches;
+      ADD_FAILURE() << x[i].to_hex() << " * " << y[i].to_hex();
+    }
   }
 }
 
+TEST(Fp2, KaratsubaMatchesSchoolbook) {
+  Rng rng(41);
+  std::vector<Fp2> x, y;
+  for (int i = 0; i < 100000; ++i) {
+    x.push_back(rand_fp2(rng));
+    y.push_back(rand_fp2(rng));
+  }
+  expect_products_agree(x, y);
+}
+
 TEST(Fp2, KaratsubaEdgeOperands) {
-  Fp pm1 = Fp() - Fp::from_u64(1);  // p - 1, the largest canonical element
-  const Fp2 cases[] = {
-      Fp2(),
-      Fp2::from_u64(1),
-      Fp2::from_u64(0, 1),
-      Fp2(pm1, pm1),
-      Fp2(pm1, Fp()),
-      Fp2(Fp(), pm1),
-      Fp2(Fp::from_u64(1), pm1),
-  };
-  for (const Fp2& x : cases)
-    for (const Fp2& y : cases)
-      EXPECT_EQ(Fp2::mul_karatsuba(x, y), Fp2::mul_schoolbook(x, y))
-          << x.to_hex() << " * " << y.to_hex();
+  // Every pairing of boundary components, x and y independently: 8^4.
+  const std::vector<Fp> g = grid_values();
+  std::vector<Fp2> x, y;
+  for (const Fp& x0 : g)
+    for (const Fp& x1 : g)
+      for (const Fp& y0 : g)
+        for (const Fp& y1 : g) {
+          x.emplace_back(x0, x1);
+          y.emplace_back(y0, y1);
+        }
+  ASSERT_EQ(x.size(), 4096u);
+  expect_products_agree(x, y);
 }
 
 TEST(Fp2, ImaginaryUnitSquaresToMinusOne) {
@@ -64,6 +126,12 @@ TEST(Fp2, SqrMatchesMul) {
     Fp2 a = rand_fp2(rng);
     EXPECT_EQ(a.sqr(), a * a);
   }
+  const std::vector<Fp> g = grid_values();
+  for (const Fp& re : g)
+    for (const Fp& im : g) {
+      const Fp2 a(re, im);
+      EXPECT_EQ(a.sqr(), a * a) << a.to_hex();
+    }
 }
 
 TEST(Fp2, ConjAndNorm) {

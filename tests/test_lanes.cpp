@@ -1,6 +1,7 @@
 // Lane-parallel execution: the vector Fp/Fp2 batch kernels differentially
 // against the scalar field operators (every compiled-in dispatch table, 10k
-// random inputs plus boundary operands incl. p-1), the SoA lane executor
+// random inputs plus boundary operands incl. p-1), each table's wave ops
+// over long random op chains, the lane executor
 // against the reference simulator for every wave width, ragged tails and
 // mixed preloads, and the strip-parallel batch inversion.
 #include <gtest/gtest.h>
@@ -149,6 +150,74 @@ TEST(LaneKernelsTest, RaggedAndAliasedCalls) {
         const Fp2 want = lk::join(are[i], aim[i]) * lk::join(bre[i], bim[i]);
         ASSERT_EQ(xre[i], want.re().raw()) << "n=" << n << " lane " << i;
         ASSERT_EQ(xim[i], want.im().raw()) << "n=" << n << " lane " << i;
+      }
+    }
+  }
+}
+
+TEST(LaneKernelsTest, WaveOpsMatchScalarOperatorsOverChains) {
+  // The lane executor feeds wave-op outputs straight back in as operands,
+  // and the AVX-512 layout keeps them semi-reduced between ops, so check
+  // long random op chains (not just single ops on canonical inputs): 8
+  // blocks x 8 lanes seeded with boundary and random values, 20k random
+  // mul/add/sub/conj/gather/set steps, every lane of every result
+  // compared with the scalar operators through get().
+  constexpr size_t kBlocks = 8, kL = lk::kWaveLanes;
+  const std::vector<u128> seed_re = operand_stream(kBlocks * kL, 51, 0);
+  const std::vector<u128> seed_im = operand_stream(kBlocks * kL, 52, 1);
+  for (const lk::Kernels* k : compiled_tables()) {
+    SCOPED_TRACE(k->name);
+    const lk::WaveOps& op = k->wave;
+    std::vector<lk::WaveBlock> blk(kBlocks, lk::WaveBlock{});
+    std::vector<Fp2> want(kBlocks * kL);
+    for (size_t i = 0; i < kBlocks * kL; ++i) {
+      op.set(blk[i / kL], i % kL, seed_re[i], seed_im[i]);
+      want[i] = lk::join(seed_re[i], seed_im[i]);
+    }
+    Rng rng(53);
+    for (int step = 0; step < 20000; ++step) {
+      const size_t a = rng.next_u64() % kBlocks;
+      const size_t b = rng.next_u64() % kBlocks;
+      size_t r = rng.next_u64() % kBlocks;
+      while (r == a || r == b) r = (r + 1) % kBlocks;
+      const int kind = static_cast<int>(rng.next_u64() % 7);
+      for (size_t l = 0; l < kL; ++l) {
+        const Fp2 x = want[a * kL + l], y = want[b * kL + l];
+        Fp2& z = want[r * kL + l];
+        switch (kind) {
+          case 0: case 1: case 2: z = x * y; break;
+          case 3: z = x + y; break;
+          case 4: z = x - y; break;
+          case 5: z = x.conj(); break;
+          default: break;  // gather, below
+        }
+      }
+      if (kind <= 2) op.mul(blk[a], blk[b], blk[r], kL);
+      if (kind == 3) op.add(blk[a], blk[b], blk[r], kL);
+      if (kind == 4) op.sub(blk[a], blk[b], blk[r], kL);
+      if (kind == 5) op.conj(blk[a], blk[r], kL);
+      if (kind == 6) {
+        // Per-lane sources, as a digit-table select gathers them.
+        const lk::WaveBlock* src[kL];
+        for (size_t l = 0; l < kL; ++l) {
+          size_t s = rng.next_u64() % kBlocks;
+          if (s == r) s = a;
+          src[l] = &blk[s];
+          want[r * kL + l] = want[s * kL + l];
+        }
+        op.gather(src, blk[r], kL);
+      }
+      for (size_t l = 0; l < kL; ++l) {
+        u128 re, im;
+        op.get(blk[r], l, re, im);
+        ASSERT_EQ(re, want[r * kL + l].re().raw()) << "step " << step << " op " << kind;
+        ASSERT_EQ(im, want[r * kL + l].im().raw()) << "step " << step << " op " << kind;
+      }
+      if (step % 97 == 0) {  // re-plant a boundary value
+        const size_t i = rng.next_u64() % (kBlocks * kL);
+        const size_t j = rng.next_u64() % 81;
+        op.set(blk[i / kL], i % kL, seed_re[j % 64], seed_im[(j * 7) % 64]);
+        want[i] = lk::join(seed_re[j % 64], seed_im[(j * 7) % 64]);
       }
     }
   }

@@ -103,6 +103,24 @@ else
   echo "skip  perf_regress (engine baseline)"
 fi
 
+# Field-layer gate: paper Algorithm 2 (Karatsuba F_{p^2} mul) must stay no
+# slower than the 4-product schoolbook (in-process median ratio <= 1), and
+# both dependent chains must end bitwise equal
+# (tools/baselines/bench_field_baseline.jsonl).
+if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$out_dir/BENCH_field.json" ] \
+    && [ -f "$script_dir/baselines/bench_field_baseline.jsonl" ]; then
+  ran=$((ran + 1))
+  if "$build_dir/tools/perf_regress" "$script_dir/baselines/bench_field_baseline.jsonl" \
+      "$out_dir/BENCH_field.json" > "$out_dir/perf_regress_field.log" 2>&1; then
+    echo "ok    perf_regress (field baseline)"
+  else
+    echo "FAIL  perf_regress (field baseline) (see $out_dir/perf_regress_field.log)" >&2
+    failures=$((failures + 1))
+  fi
+else
+  echo "skip  perf_regress (field baseline)"
+fi
+
 # Lane-executor regression gate: the 8-wide SoA wave path must stay >=5x
 # over the scalar interpreter walk (measured in-process, so the ratio is
 # robust to shared-host load), 8 workers must not regress below 1 worker,
