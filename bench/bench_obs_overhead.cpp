@@ -4,16 +4,18 @@
 // lifecycle histograms, flight recorder, and — where available — perf_event
 // counter sampling per task). This bench measures it directly:
 //
-//   bare          the engine's per-job work (decompose/recode/bind/
-//                 pre-decoded ROM execution) in a plain loop touching no
-//                 telemetry — what every job costs under FOURQ_OBS=OFF
+//   bare          the engine's per-task work (decompose/recode/bind each
+//                 job, run_lanes waves of 8 over the pre-decoded ROM, read
+//                 the outputs) in a plain loop touching no telemetry —
+//                 what every task costs under FOURQ_OBS=OFF
 //   instrumented  the same loop plus a faithful replica of everything the
 //                 obs layer adds per task and per batch in BatchEngine:
 //                 two clock reads + two lifecycle-histogram observes, the
 //                 per-worker counters and utilisation gauge, a flight-
 //                 recorder entry, a perf_event counter-group sample pair
-//                 with the six per-kind counter adds, and the per-batch
-//                 span/counter/gauge updates
+//                 with the six per-kind counter adds, exec_sm's three
+//                 counter adds, and the per-batch span/counter/gauge
+//                 updates
 //
 // Comparing against the engine itself would confound telemetry with the
 // worker pool's queue mutexes and condvars, which exist identically in the
@@ -34,7 +36,6 @@
 #include "common/rng.hpp"
 #include "curve/scalarmul.hpp"
 #include "engine/batch.hpp"
-#include "engine/decoded.hpp"
 #include "obs/obs.hpp"
 #include "obs/perfctr.hpp"
 
@@ -86,38 +87,56 @@ int main(int argc, char** argv) {
   engine::BatchEngine eng(eopt);
   eng.program();  // compile/decode outside every timed region
 
-  // Bare loop: the body of the engine's exec_sm without any instrumentation
-  // around it — same decompose/recode/bind/run sequence per job.
-  engine::SimWorkspace ws;
-  trace::InputBindings bindings;
+  // One engine task's work without any instrumentation around it: the
+  // body of BatchEngine::exec_sm — stage each job (decompose/recode/bind),
+  // run_lanes in waves of kMaxLanes with the remainder as one partial wave,
+  // read the outputs back.
+  engine::LaneWorkspace ws;
+  std::vector<trace::InputBindings> bindings(engine::kMaxLanes);
+  std::vector<curve::RecodedScalar> recs(engine::kMaxLanes);
+  std::vector<trace::EvalContext> ctxs(engine::kMaxLanes);
+  const auto run_task = [&](size_t begin, size_t end, curve::Affine& last) {
+    const engine::CompiledProgram& p = *prog;
+    for (size_t i = begin; i < end; i += engine::kMaxLanes) {
+      const int lanes = static_cast<int>(std::min<size_t>(engine::kMaxLanes, end - i));
+      for (int l = 0; l < lanes; ++l) {
+        const size_t sl = static_cast<size_t>(l);
+        const engine::SmJob& job = jobs[i + sl];
+        curve::Decomposition dec = curve::decompose(job.k);
+        recs[sl] = curve::recode(dec.a);
+        trace::InputBindings& b = bindings[sl];
+        b.clear();
+        b.emplace_back(p.in_zero, curve::Fp2());
+        b.emplace_back(p.in_one, curve::Fp2::from_u64(1));
+        b.emplace_back(p.in_two_d, curve::curve_2d());
+        b.emplace_back(p.in_px, job.base.x);
+        b.emplace_back(p.in_py, job.base.y);
+        for (size_t c = 0; c < p.in_endo_consts.size(); ++c)
+          b.emplace_back(p.in_endo_consts[c], curve::Fp2::from_u64(3 + c, 7 + c));
+        ctxs[sl] = trace::EvalContext{};
+        ctxs[sl].recoded = &recs[sl];
+        ctxs[sl].k_was_even = dec.k_was_even;
+      }
+      engine::run_lanes(rom, bindings.data(), ctxs.data(), lanes, ws);
+      for (int l = 0; l < lanes; ++l)
+        last = curve::Affine{engine::lane_output(rom, ws, "x", l),
+                             engine::lane_output(rom, ws, "y", l)};
+    }
+  };
+
+  // The engine's task split: BatchEngine's default chunk for 64 jobs on one
+  // worker, ceil(64 / 2) rounded up to a whole wave.
+  const size_t kChunk = 32;
   curve::Affine bare_last{};
   auto bare_run = [&]() {
-    const engine::CompiledProgram& p = *prog;
-    for (const engine::SmJob& job : jobs) {
-      curve::Decomposition dec = curve::decompose(job.k);
-      curve::RecodedScalar rec = curve::recode(dec.a);
-      bindings.clear();
-      bindings.emplace_back(p.in_zero, curve::Fp2());
-      bindings.emplace_back(p.in_one, curve::Fp2::from_u64(1));
-      bindings.emplace_back(p.in_two_d, curve::curve_2d());
-      bindings.emplace_back(p.in_px, job.base.x);
-      bindings.emplace_back(p.in_py, job.base.y);
-      for (size_t c = 0; c < p.in_endo_consts.size(); ++c)
-        bindings.emplace_back(p.in_endo_consts[c], curve::Fp2::from_u64(3 + c, 7 + c));
-      trace::EvalContext ctx;
-      ctx.recoded = &rec;
-      ctx.k_was_even = dec.k_was_even;
-      engine::run(rom, bindings, ctx, ws);
-      bare_last = curve::Affine{engine::output_value(rom, ws, "x"),
-                                engine::output_value(rom, ws, "y")};
-    }
+    for (size_t b = 0; b < jobs.size(); b += kChunk)
+      run_task(b, std::min(jobs.size(), b + kChunk), bare_last);
   };
 
   // Instrumented loop: bare + the obs layer's exact per-task and per-batch
   // work, including perf_event sampling (enabled as under `--hw`, degrading
   // hardware -> software -> unavailable exactly like the engine workers).
   obs::perf_set_enabled(true);
-  const size_t kChunk = 8;  // BatchEngine default for 64 jobs on 1 worker
   curve::Affine inst_last{};
 #if FOURQ_OBS_ENABLED
   obs::Registry& reg = obs::global().metrics;
@@ -143,28 +162,11 @@ int main(int argc, char** argv) {
       obs::PerfSample perf_begin;
       if (obs::perf_enabled()) perf_begin = obs::perf_read_thread();
 #endif
-      size_t hi = std::min(jobs.size(), b + kChunk);
-      const engine::CompiledProgram& p = *prog;
-      for (size_t i = b; i < hi; ++i) {
-        const engine::SmJob& job = jobs[i];
-        curve::Decomposition dec = curve::decompose(job.k);
-        curve::RecodedScalar rec = curve::recode(dec.a);
-        bindings.clear();
-        bindings.emplace_back(p.in_zero, curve::Fp2());
-        bindings.emplace_back(p.in_one, curve::Fp2::from_u64(1));
-        bindings.emplace_back(p.in_two_d, curve::curve_2d());
-        bindings.emplace_back(p.in_px, job.base.x);
-        bindings.emplace_back(p.in_py, job.base.y);
-        for (size_t c = 0; c < p.in_endo_consts.size(); ++c)
-          bindings.emplace_back(p.in_endo_consts[c], curve::Fp2::from_u64(3 + c, 7 + c));
-        trace::EvalContext ctx;
-        ctx.recoded = &rec;
-        ctx.k_was_even = dec.k_was_even;
-        engine::run(rom, bindings, ctx, ws);
-        inst_last = curve::Affine{engine::output_value(rom, ws, "x"),
-                                  engine::output_value(rom, ws, "y")};
-      }
+      const size_t hi = std::min(jobs.size(), b + kChunk);
+      run_task(b, hi, inst_last);
 #if FOURQ_OBS_ENABLED
+      FOURQ_COUNTER_ADD("engine.lanes.waves", (hi - b + engine::kMaxLanes - 1) / engine::kMaxLanes);
+      FOURQ_COUNTER_ADD("engine.lanes.ragged_jobs", (hi - b) % engine::kMaxLanes);
       FOURQ_COUNTER_ADD("engine.jobs.sm", hi - b);
       if (perf_begin.source != obs::PerfSource::kUnavailable) {
         obs::PerfDelta d = obs::perf_delta(perf_begin, obs::perf_read_thread());
@@ -195,6 +197,7 @@ int main(int argc, char** argv) {
     FOURQ_COUNTER_ADD("engine.batches", 1);
     FOURQ_GAUGE_SET("engine.jobs_per_s", static_cast<double>(jobs.size()));
     FOURQ_GAUGE_SET("engine.queue.depth.max", 8);
+    FOURQ_GAUGE_SET("engine.lanes.occupancy", 1.0);
   };
 
   // One untimed warm-up of each path (first-touch allocation, counter-group
@@ -249,7 +252,7 @@ int main(int argc, char** argv) {
 
   std::printf("Path (median of %d interleaved reps)         %12s\n", kReps, "us/job");
   bench::print_rule(60);
-  std::printf("%-44s %12.2f\n", "bare loop (= FOURQ_OBS=OFF hot path)", bare_med);
+  std::printf("%-44s %12.2f\n", "bare run_lanes loop (= FOURQ_OBS=OFF)", bare_med);
   std::printf("%-44s %12.2f\n", "bare + full obs layer (spans/counters/perf)", inst_med);
   std::printf("%-44s %12.2f\n", "engine (1 worker; pool + obs, context only)", engine_med);
   std::printf("%-44s %+11.2f%%\n", "observability overhead", overhead_pct);
@@ -309,6 +312,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nThe gate (tools/perf_regress vs bench_obs_overhead_baseline.jsonl)\n"
               "enforces engine.overhead_pct <= 2: full telemetry must stay within\n"
-              "2%% of the bare pre-decoded-ROM loop on the batch hot path.\n");
+              "2%% of the bare run_lanes loop on the batch hot path.\n");
   return match ? 0 : 1;
 }

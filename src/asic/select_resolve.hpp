@@ -1,6 +1,6 @@
 // Indexed-operand resolution shared by the cycle-accurate simulators
-// (machine_state.cpp) and the batch engine's pre-decoded executor
-// (engine/decoded.cpp): maps an indexed control field plus the runtime
+// (machine_state.cpp) and the batch engine's lane executor
+// (engine/lanes.cpp): maps an indexed control field plus the runtime
 // EvalContext (recoded digits, even-k flags, loop counter) to the concrete
 // register the hardware mux would select this iteration.
 #pragma once

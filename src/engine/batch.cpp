@@ -191,13 +191,11 @@ class BatchEngine::Queue {
 
 BatchEngine::BatchEngine(const EngineOptions& opt) : opt_(opt) {
   FOURQ_CHECK_MSG(opt_.workers >= 1, "engine needs at least one worker");
-  lanes_ = opt_.lanes == 0 ? kMaxLanes : std::clamp(opt_.lanes, 1, kMaxLanes);
   queue_ = std::make_unique<Queue>(opt_.queue_capacity);
   threads_.reserve(static_cast<size_t>(opt_.workers));
   for (int i = 0; i < opt_.workers; ++i)
     threads_.emplace_back([this, i] { worker_main(i); });
   FOURQ_GAUGE_SET("engine.workers", opt_.workers);
-  FOURQ_GAUGE_SET("engine.lanes.width", lanes_);
 }
 
 BatchEngine::~BatchEngine() {
@@ -348,8 +346,8 @@ const CompiledProgram& BatchEngine::program() {
 
 namespace {
 
-// Per-job preflight shared by the wave and scalar paths: scalar
-// decomposition + recoding and the input bindings for one job.
+// Per-job preflight of one lane: scalar decomposition + recoding and the
+// input bindings for one job.
 void stage_job(const CompiledProgram& p, const SmJob& job, curve::Decomposition& dec,
                curve::RecodedScalar& rec, trace::InputBindings& bindings,
                trace::EvalContext& ctx) {
@@ -373,53 +371,27 @@ void stage_job(const CompiledProgram& p, const SmJob& job, curve::Decomposition&
 void BatchEngine::exec_sm(const Task& t, SmArena& ar) {
   const CompiledProgram& p = *program_;
   const DecodedRom& rom = *decoded_;
-  const int W = lanes_;
-  size_t i = t.begin;
-
-  if (W > 1) {
-    // Lane-packed waves: W jobs staged, one SoA pass over the decoded
-    // streams for all of them. EvalContexts hold pointers into ar.recs, so
-    // the vectors are sized once and never reallocated mid-wave.
-    const size_t lw = static_cast<size_t>(W);
-    if (ar.bindings.size() < lw) {
-      ar.bindings.resize(lw);
-      ar.ctxs.resize(lw);
-      ar.recs.resize(lw);
-      ar.decs.resize(lw);
+  // Waves of kMaxLanes jobs, the task's last 1..kMaxLanes-1 jobs as one
+  // partial wave: one pass over the decoded steps for every lane staged.
+  // EvalContexts hold pointers into ar.recs, which never moves.
+  size_t waves = 0;
+  for (size_t i = t.begin; i < t.end; i += kMaxLanes) {
+    const int lanes = static_cast<int>(std::min<size_t>(kMaxLanes, t.end - i));
+    for (int l = 0; l < lanes; ++l) {
+      const size_t sl = static_cast<size_t>(l);
+      stage_job(p, t.jobs[i + sl], ar.decs[sl], ar.recs[sl], ar.bindings[sl], ar.ctxs[sl]);
     }
-    size_t waves = 0;
-    for (; i + lw <= t.end; i += lw) {
-      for (int l = 0; l < W; ++l) {
-        const size_t sl = static_cast<size_t>(l);
-        stage_job(p, t.jobs[i + sl], ar.decs[sl], ar.recs[sl], ar.bindings[sl],
-                  ar.ctxs[sl]);
-      }
-      run_lanes(rom, ar.bindings.data(), ar.ctxs.data(), W, ar.lane_ws);
-      for (int l = 0; l < W; ++l) {
-        const size_t sl = static_cast<size_t>(l);
-        t.results[i + sl].out = curve::Affine{lane_output(rom, ar.lane_ws, "x", l),
-                                              lane_output(rom, ar.lane_ws, "y", l)};
-        t.results[i + sl].stats = rom.stats;
-      }
-      ++waves;
+    run_lanes(rom, ar.bindings.data(), ar.ctxs.data(), lanes, ar.lane_ws);
+    for (int l = 0; l < lanes; ++l) {
+      SmResult& r = t.results[i + static_cast<size_t>(l)];
+      r.out = curve::Affine{lane_output(rom, ar.lane_ws, "x", l),
+                            lane_output(rom, ar.lane_ws, "y", l)};
+      r.stats = rom.stats;
     }
-    FOURQ_COUNTER_ADD("engine.lanes.waves", waves);
-    FOURQ_COUNTER_ADD("engine.lanes.ragged_jobs", t.end - i);
+    ++waves;
   }
-
-  // Ragged tail (or W == 1): the scalar executor, job by job.
-  for (; i < t.end; ++i) {
-    if (ar.bindings.empty()) {
-      ar.bindings.resize(1);
-      ar.ctxs.resize(1);
-      ar.recs.resize(1);
-      ar.decs.resize(1);
-    }
-    stage_job(p, t.jobs[i], ar.decs[0], ar.recs[0], ar.bindings[0], ar.ctxs[0]);
-    engine::run(rom, ar.bindings[0], ar.ctxs[0], ar.ws);
-    t.results[i].out = curve::Affine{output_value(rom, ar.ws, "x"), output_value(rom, ar.ws, "y")};
-    t.results[i].stats = rom.stats;
-  }
+  FOURQ_COUNTER_ADD("engine.lanes.waves", waves);
+  FOURQ_COUNTER_ADD("engine.lanes.ragged_jobs", (t.end - t.begin) % kMaxLanes);
   FOURQ_COUNTER_ADD("engine.jobs.sm", t.end - t.begin);
 }
 
@@ -476,13 +448,13 @@ std::vector<SmResult> BatchEngine::run(const std::vector<SmJob>& jobs) {
   // a 256-job batch — on few-core hosts the mutex/condvar traffic made 8
   // workers *slower* than 1 (BENCH_engine.json: queue-wait p50 36.7 ms vs
   // 1.7 ms service). One queue op now covers a whole run of waves, and
-  // wave-alignment confines ragged (scalar-path) tails to the final task.
-  const size_t wv = static_cast<size_t>(lanes_);
+  // wave-alignment confines the partial wave to the final task.
+  constexpr size_t wv = kMaxLanes;
   size_t chunk = opt_.chunk;
   if (chunk == 0) {
     chunk = std::max<size_t>(
         1, (jobs.size() + threads_.size() * 2 - 1) / (threads_.size() * 2));
-    if (wv > 1 && chunk % wv != 0) chunk += wv - chunk % wv;
+    if (chunk % wv != 0) chunk += wv - chunk % wv;
   }  // an explicit opt_.chunk is honored exactly, unaligned or not
 
   auto start = std::chrono::steady_clock::now();
@@ -504,15 +476,12 @@ std::vector<SmResult> BatchEngine::run(const std::vector<SmJob>& jobs) {
   FOURQ_COUNTER_ADD("engine.batches", 1);
   if (secs > 0) FOURQ_GAUGE_SET("engine.jobs_per_s", static_cast<double>(jobs.size()) / secs);
   FOURQ_GAUGE_SET("engine.queue.depth.max", queue_->max_depth());
-  if (wv > 1) {
-    // Packing efficiency of this batch: filled lane slots over the slots of
-    // every wave, counting each task's ragged tail as one partial wave.
-    size_t wave_slots = 0;
-    for (const Task& t : tasks) wave_slots += ((t.end - t.begin + wv - 1) / wv) * wv;
-    if (wave_slots)
-      FOURQ_GAUGE_SET("engine.lanes.occupancy",
-                      static_cast<double>(jobs.size()) / static_cast<double>(wave_slots));
-  }
+  // Packing efficiency of this batch: filled lane slots over the slots of
+  // every wave, each task's partial wave counted at full width.
+  size_t wave_slots = 0;
+  for (const Task& t : tasks) wave_slots += ((t.end - t.begin + wv - 1) / wv) * wv;
+  FOURQ_GAUGE_SET("engine.lanes.occupancy",
+                  static_cast<double>(jobs.size()) / static_cast<double>(wave_slots));
 #if FOURQ_OBS_ENABLED
   update_perf_gauges("sm", "engine.jobs.sm");
 #endif

@@ -7,8 +7,9 @@
 // Two workloads share the pool:
 //  * run()    — hardware-model scalar multiplications: each SmJob is one
 //               [k]P executed on the pre-decoded ROM (engine/decoded.hpp)
-//               with per-worker reusable workspaces; the steady-state path
-//               allocates nothing per job.
+//               by the lane executor (engine/lanes.hpp), kMaxLanes jobs per
+//               wave, with per-worker reusable workspaces; the steady-state
+//               path allocates nothing per job.
 //  * verify() — SchnorrQ batch verification: chunks verified with the
 //               Bellare–Garay–Rabin small-exponent test, failing chunks
 //               bisected down to the exact corrupted indices.
@@ -21,6 +22,7 @@
 // interleave on the pool.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -54,15 +56,13 @@ struct EngineOptions {
   size_t queue_capacity = 64; // bounded job-queue length (back-pressure)
   size_t chunk = 0;           // jobs per task; 0 = wave-aligned chunks sized
                               // so each worker receives ~2 tasks for run()
-                              // (one queue op per wave, not per job),
-                              // max(1, n / (workers * 2)) for verify()
+                              // (one queue op per run of waves, not per
+                              // job), max(1, n / (workers * 2)) for verify()
                               // (bigger chunks give the bucket MSM more
-                              // terms to amortise over)
-  int lanes = 0;              // wave width W for run(): jobs are packed into
-                              // W-wide waves executed by the lane-parallel
-                              // SoA executor (engine/lanes.hpp); ragged
-                              // tails use the scalar path. 0 = kMaxLanes,
-                              // 1 = scalar execution throughout.
+                              // terms to amortise over). run() packs each
+                              // task into kMaxLanes-wide waves; a task's
+                              // last 1..kMaxLanes-1 jobs run as one partial
+                              // wave.
   CompileKey key;             // program compiled/decoded for run()
   CompileCache* cache = nullptr;  // nullptr = CompileCache::process_cache()
   uint64_t verify_seed = 0x5eedf00d;  // BGR small-exponent weight seed
@@ -99,7 +99,6 @@ class BatchEngine {
   // The compiled program run() executes (compiling it on first use).
   const CompiledProgram& program();
   int workers() const { return static_cast<int>(threads_.size()); }
-  int lanes() const { return lanes_; }
 
  private:
   struct Task;
@@ -107,16 +106,15 @@ class BatchEngine {
   struct FanCtl;
   class Queue;
 
-  // Worker-local arenas for the scalar-mul path: the scalar workspace plus
-  // the SoA lane workspace and per-lane binding/context staging. Everything
-  // is sized on the first wave and reused — zero steady-state allocation.
+  // Worker-local arenas for the scalar-mul path: the lane workspace and
+  // per-lane binding/context staging. Everything is sized on the first wave
+  // and reused — zero steady-state allocation.
   struct SmArena {
-    SimWorkspace ws;
     LaneWorkspace lane_ws;
-    std::vector<trace::InputBindings> bindings;  // [lane]
-    std::vector<trace::EvalContext> ctxs;        // [lane]
-    std::vector<curve::RecodedScalar> recs;      // [lane] (ctxs point here)
-    std::vector<curve::Decomposition> decs;      // [lane]
+    std::array<trace::InputBindings, kMaxLanes> bindings;
+    std::array<trace::EvalContext, kMaxLanes> ctxs;
+    std::array<curve::RecodedScalar, kMaxLanes> recs;  // ctxs point here
+    std::array<curve::Decomposition, kMaxLanes> decs;
   };
 
   void worker_main(int worker_id);
@@ -126,7 +124,6 @@ class BatchEngine {
   void dispatch(std::vector<Task>& tasks);
 
   EngineOptions opt_;
-  int lanes_ = 1;  // effective wave width W
   std::unique_ptr<Queue> queue_;
   std::vector<std::thread> threads_;
 

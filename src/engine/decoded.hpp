@@ -1,4 +1,4 @@
-// Pre-decoded ROM executor — the batch engine's hot inner loop.
+// Pre-decoded ROM — the batch engine's form of a compiled program.
 //
 // asic::simulate() is the reference interpreter: it walks vector<CtrlWord>
 // (three nested vectors per cycle), re-validates port limits and pipeline
@@ -7,59 +7,34 @@
 // stream is static, so its legality and its statistics are data-independent
 // and can be established once per program instead of once per job.
 //
-// DecodedRom flattens the ROM into struct-of-arrays issue/writeback streams
-// sorted by cycle (three cursors replace all per-cycle map lookups), drops
-// per-cycle checks (decode() re-derives SimStats from the static stream;
-// legality is the flat simulator's and the static verifier's job — tests
-// pin run() outputs bitwise to asic::simulate()), and reuses a per-worker
-// SimWorkspace so the steady-state path performs zero heap allocations.
+// decode() does that once: it validates the unit and register indices,
+// derives SimStats from the static stream, and flattens the cycle walk into
+// a register-renamed step list for the lane executor (engine/lanes.hpp),
+// which runs every job. Legality stays the flat simulator's and the static
+// verifier's job; tests pin run_lanes() outputs bitwise to asic::simulate().
 #pragma once
 
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "asic/pipe_ring.hpp"
 #include "asic/simulator.hpp"
-#include "engine/cache.hpp"
 
 namespace fourq::engine {
 
-// One operand source, decoded from sched::SrcSel.
-struct DecodedSrc {
-  enum class Kind : uint8_t { kNone, kReg, kMulBus, kAddBus, kIndexed };
-  Kind kind = Kind::kNone;
-  uint8_t unit = 0;    // producing instance for bus operands
-  int16_t reg = -1;    // register for kReg
-  int16_t map = -1;    // select_maps index for kIndexed
-  int16_t iter = -1;   // digit position for kIndexed
-};
-
-struct DecodedIssue {
-  int32_t cycle = 0;
-  trace::OpKind op = trace::OpKind::kMul;
-  uint8_t unit = 0;
-  DecodedSrc a, b;
-};
-
-struct DecodedWb {
-  int32_t cycle = 0;
-  int16_t reg = -1;
-  bool from_mul = true;
-  uint8_t unit = 0;
-};
-
-// The lane executor's form of the same streams (engine/lanes.hpp), with
-// registers renamed to state blocks (see build_lane_steps in decoded.cpp):
-// issues in execution order — per cycle the multiplier issues, then the
-// adder issues — each reading and writing block indices. A negative
-// operand -1 - k is the per-lane register select lane_selects[k].
+// One issue of the ROM with registers renamed to state blocks (see
+// build_lane_steps in decoded.cpp): steps are in execution order — per
+// cycle the multiplier issues, then the adder issues — each reading and
+// writing block indices. A negative operand -1 - k is the per-lane
+// register select selects[k].
 struct LaneStep {
   enum class Op : uint8_t { kMul, kAdd, kSub, kConj, kInvalid };
   Op op = Op::kInvalid;
   int32_t a = 0, b = 0, r = 0;
 };
 
-// A kIndexed operand of lane_steps: select_maps[map] picks register r at
-// run time, whose value then sits in block lane_select_blocks[blocks + r].
+// A kIndexed operand of the steps: select_maps[map] picks register r at
+// run time, whose value then sits in block select_blocks[blocks + r].
 struct LaneSelect {
   int map = 0;
   int iter = 0;
@@ -67,43 +42,18 @@ struct LaneSelect {
 };
 
 struct DecodedRom {
-  int cycles = 0;
-  int rf_slots = 0;
-  sched::MachineConfig cfg;
-  std::vector<DecodedIssue> mul, addsub;  // sorted by cycle
-  std::vector<DecodedWb> writebacks;      // sorted by cycle
   std::vector<sched::SelectMap> select_maps;
-  std::vector<std::pair<int, int>> preload;          // (input op id, reg)
-  std::vector<std::pair<std::string, int>> outputs;  // name -> reg
-  std::vector<LaneStep> lane_steps;
-  std::vector<LaneSelect> lane_selects;              // kIndexed operands
-  std::vector<int32_t> lane_select_blocks;           // rf_slots per select
-  std::vector<std::pair<std::string, int>> lane_outputs;  // name -> block
-  int lane_blocks = 0;  // state blocks; preloaded register r is block r
+  std::vector<std::pair<int, int>> preload;  // (input op id, block)
+  std::vector<LaneStep> steps;
+  std::vector<LaneSelect> selects;           // kIndexed operands
+  std::vector<int32_t> select_blocks;        // one block per register, per select
+  std::vector<std::pair<std::string, int>> outputs;  // name -> block
+  int blocks = 0;  // state blocks; preloaded register r is block r
   // SimStats are a function of the control stream alone (operand *values*
   // never change which events fire), so they are computed here, once.
   asic::SimStats stats;
 };
 
 DecodedRom decode(const sched::CompiledSm& sm);
-
-// Reusable per-worker execution state. reset() is cheap (no deallocation);
-// rf keeps its capacity across jobs.
-struct SimWorkspace {
-  std::vector<field::Fp2> rf;
-  std::vector<asic::PipeRing> mul_pipes, add_pipes;
-
-  void prepare(const DecodedRom& rom);  // sizes state for this program
-};
-
-// Executes the decoded program: preloads `inputs` (op id -> value, same
-// bindings as asic::simulate), runs every cycle, returns nothing — read
-// results from ws.rf via rom.outputs, e.g. through output_value().
-void run(const DecodedRom& rom, const trace::InputBindings& inputs,
-         const trace::EvalContext& ctx, SimWorkspace& ws);
-
-// Convenience: named output from a finished workspace.
-const field::Fp2& output_value(const DecodedRom& rom, const SimWorkspace& ws,
-                               const std::string& name);
 
 }  // namespace fourq::engine

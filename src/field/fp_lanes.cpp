@@ -107,14 +107,13 @@ constexpr Kernels kGeneric = {
 const Kernels* resolve_active() {
   const char* req = std::getenv("FOURQ_FP_LANES");
   const bool want_generic = req && std::strcmp(req, "generic") == 0;
-  const bool want_avx2 = req && std::strcmp(req, "avx2") == 0;
   const bool want_avx512 = req && std::strcmp(req, "avx512") == 0;
   const bool want_auto = req == nullptr || std::strcmp(req, "auto") == 0;
   if (want_generic) return &kGeneric;
   if (avx512_supported() && (want_avx512 || want_auto))
     return &avx512_kernels();
-  if (avx2_supported() && (want_avx2 || want_auto)) return &avx2_kernels();
-  // Unknown value or unsatisfiable request: portable path, never a crash.
+  // Unknown value (including the retired "avx2") or unsatisfiable request:
+  // portable path, never a crash.
   return &kGeneric;
 }
 
@@ -139,14 +138,6 @@ void u128_wave::get(const WaveBlock& b, size_t lane, u128& v_re, u128& v_im) {
   v_im = im(b)[lane];
 }
 
-bool avx2_supported() {
-#if FOURQ_LANES_AVX2_ENABLED
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
 bool avx512_supported() {
 #if FOURQ_LANES_AVX512_ENABLED
   return __builtin_cpu_supports("avx512f") != 0 &&
@@ -156,13 +147,9 @@ bool avx512_supported() {
 #endif
 }
 
-#if !FOURQ_LANES_AVX2_ENABLED
+#if !FOURQ_LANES_AVX512_ENABLED
 // Generic-only build: the specialization is compiled out entirely and the
 // dispatcher above can never select it.
-const Kernels& avx2_kernels() { return kGeneric; }
-#endif
-
-#if !FOURQ_LANES_AVX512_ENABLED
 const Kernels& avx512_kernels() { return kGeneric; }
 #endif
 

@@ -16,10 +16,6 @@
 //    loops so the compiler can software-pipeline W independent carry
 //    chains (the ILP the scalar interpreter's one-value-at-a-time walk
 //    never exposes).
-//  * avx2 — 4 lanes per vector on a 32-bit-limbs-in-64-bit-lanes
-//    representation (vpmuludq schoolbook products, branchless carry /
-//    borrow chains). Compiled only when FOURQ_LANES_AVX2 is enabled and
-//    selected at runtime only when the CPU reports AVX2.
 //  * avx512 — 8 lanes per vector on radix-2^52 limbs driven by the IFMA
 //    instructions (vpmadd52luq/huq): a full 128x128 product is 17 fused
 //    multiply-adds across 8 lanes. Compiled only when FOURQ_LANES_AVX512
@@ -29,11 +25,11 @@
 // (below): F_{p^2} values of 8 lanes kept in the table's own layout
 // across a whole program run.
 //
-// Selection: active() probes the CPU once and prefers avx512 > avx2 >
-// generic; $FOURQ_FP_LANES overrides ("generic", "avx2", "avx512",
-// "auto"). Requesting an ISA the build or CPU cannot provide falls back
-// to generic — never a crash — so every build produces identical results
-// on identical inputs.
+// Selection: active() probes the CPU once and prefers avx512 > generic;
+// $FOURQ_FP_LANES overrides ("generic", "avx512", "auto"). Requesting an
+// ISA the build or CPU cannot provide — or an unknown name, such as the
+// retired "avx2" — falls back to generic, never a crash, so every build
+// produces identical results on identical inputs.
 #pragma once
 
 #include <cstddef>
@@ -41,17 +37,10 @@
 #include "common/u256.hpp"
 #include "field/fp2.hpp"
 
-// The AVX2 specialization is compiled only when the build enables it
-// (CMake option FOURQ_LANES_AVX2, x86-64 + GCC/Clang only) — the generic
-// path is always present, so a generic-only build differs from an AVX2
-// build only in which table active() can return.
-#if defined(FOURQ_LANES_AVX2) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FOURQ_LANES_AVX2_ENABLED 1
-#else
-#define FOURQ_LANES_AVX2_ENABLED 0
-#endif
-
+// The AVX-512 specialization is compiled only when the build enables it
+// (CMake option FOURQ_LANES_AVX512, x86-64 + GCC/Clang only) — the generic
+// path is always present, so a generic-only build differs only in which
+// table active() can return.
 #if defined(FOURQ_LANES_AVX512) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define FOURQ_LANES_AVX512_ENABLED 1
@@ -63,9 +52,9 @@ namespace fourq::field::lanes {
 
 // Lane-executor state. A WaveBlock holds one F_{p^2} value for up to
 // kWaveLanes lanes in the layout of the table that owns it, so the lane
-// executor's register file and pipe rings (engine/lanes.hpp) pass values
-// between field ops without converting them: canonical u128 re[8] then
-// im[8] for the generic and AVX2 tables, six radix-2^52 limb rows (re
+// executor's state blocks (engine/lanes.hpp) pass values between field
+// ops without converting them: canonical u128 re[8] then im[8] for the
+// generic table, six radix-2^52 limb rows (re
 // limbs 0..2, im limbs 0..2, 8 lanes each) holding semi-reduced values
 // for AVX-512 (bounds in fp_lanes_avx512.cpp). Values enter and leave only
 // through WaveOps::set / get; get returns the canonical components, so
@@ -95,7 +84,7 @@ struct WaveOps {
 // carries. In-place calls (r aliasing a or b elementwise) are allowed;
 // partially overlapping arrays are not.
 struct Kernels {
-  const char* name;  // "generic", "avx2" or "avx512"
+  const char* name;  // "generic" or "avx512"
 
   // r[i] = a[i] * b[i], the unreduced 254-bit product (Fp::mul_wide).
   void (*mul_wide)(const u128* a, const u128* b, U256* r, size_t n);
@@ -143,7 +132,7 @@ struct Kernels {
 };
 
 // WaveOps for the canonical u128 layout, built on a table's split re/im
-// fp2 kernels (the generic and AVX2 tables share it).
+// fp2 kernels (the generic table's).
 namespace u128_wave {
 
 inline u128* re(WaveBlock& b) { return reinterpret_cast<u128*>(b.bytes); }
@@ -179,19 +168,15 @@ constexpr WaveOps ops() {
 // The portable implementation (always available).
 const Kernels& generic_kernels();
 
-// True when the build carries the AVX2 specialization *and* this CPU
-// supports it; avx2_kernels() may only be called when this returns true.
-bool avx2_supported();
-const Kernels& avx2_kernels();
-
-// Same contract for the AVX-512 IFMA specialization (requires both the
-// FOURQ_LANES_AVX512 build option and avx512f + avx512ifma at runtime).
+// True when the build carries the AVX-512 IFMA specialization (the
+// FOURQ_LANES_AVX512 build option) *and* this CPU reports avx512f +
+// avx512ifma; avx512_kernels() may only be called when this returns true.
 bool avx512_supported();
 const Kernels& avx512_kernels();
 
-// Runtime-dispatched table: best available ISA (avx512 > avx2 > generic),
+// Runtime-dispatched table: best available ISA (avx512 > generic),
 // overridable via the $FOURQ_FP_LANES environment variable
-// ("generic" | "avx2" | "avx512" | "auto"). An unsatisfiable request
+// ("generic" | "avx512" | "auto"). An unsatisfiable or unknown request
 // degrades to generic.
 const Kernels& active();
 

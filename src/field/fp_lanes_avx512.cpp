@@ -6,9 +6,7 @@
 // F_p element split into 3 limbs of 52/52/23 bits, a full 128x128-bit
 // product is a 3x3 schoolbook: 9 lo + 8 hi instructions (the top-limb hi
 // term is provably zero) accumulating into 5 columns — ~2 multiply
-// instructions per lane where the scalar path retires ~12 mulx/add pairs;
-// the AVX2 kernel (32-bit limbs, 16 vpmuludq per 4 lanes) is slower than
-// the scalar Algorithm 2 stage code.
+// instructions per lane where the scalar path retires ~12 mulx/add pairs.
 //
 // Column sums stay below 2^55 (at most 5 terms < 2^52 plus a carry), so
 // 64-bit accumulators never overflow before the carry sweep. Conditional

@@ -1,6 +1,7 @@
 // Batch execution engine: compile-cache keying and persistence, the
-// pre-decoded executor against the reference simulator, and the worker-pool
-// engine against the software golden model.
+// pre-decoded lane executor against the reference simulator, and the
+// worker-pool engine against the software golden model at every request
+// shape (full and partial waves).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,51 +137,114 @@ TEST(CompileCacheTest, ConcurrentGetOrCompileCompilesOnce) {
   EXPECT_EQ(s.hits, static_cast<uint64_t>(kThreads - 1));
 }
 
+// One staged job: its bindings and the select context run_lanes and
+// asic::simulate take (ctx points into rec).
+struct StagedJob {
+  trace::InputBindings bindings;
+  curve::RecodedScalar rec;
+  trace::EvalContext ctx;
+};
+
+std::vector<StagedJob> stage_jobs(const engine::CompiledProgram& p, int n, Rng& rng) {
+  std::vector<StagedJob> jobs(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    StagedJob& j = jobs[static_cast<size_t>(i)];
+    j.bindings = bindings_for(p, curve::deterministic_point(1 + i % 5));
+    curve::Decomposition dec = curve::decompose(rng.next_u256());
+    j.rec = curve::recode(dec.a);
+    j.ctx.recoded = &j.rec;
+    j.ctx.k_was_even = dec.k_was_even;
+  }
+  return jobs;
+}
+
+// One run_lanes wave over `jobs`, every lane checked bitwise against
+// asic::simulate on the same program.
+void expect_wave_matches_simulator(const engine::CompiledProgram& p,
+                                   const engine::DecodedRom& rom,
+                                   const std::vector<StagedJob>& jobs,
+                                   engine::LaneWorkspace& ws) {
+  std::vector<trace::InputBindings> bindings;
+  std::vector<trace::EvalContext> ctxs;
+  for (const StagedJob& j : jobs) {
+    bindings.push_back(j.bindings);
+    ctxs.push_back(j.ctx);
+  }
+  const int lanes = static_cast<int>(jobs.size());
+  engine::run_lanes(rom, bindings.data(), ctxs.data(), lanes, ws);
+  for (int l = 0; l < lanes; ++l) {
+    const StagedJob& j = jobs[static_cast<size_t>(l)];
+    asic::SimResult ref = asic::simulate(p.sm, j.bindings, j.ctx);
+    EXPECT_TRUE(engine::lane_output(rom, ws, "x", l) == ref.outputs.at("x"))
+        << "W=" << lanes << " lane " << l;
+    EXPECT_TRUE(engine::lane_output(rom, ws, "y", l) == ref.outputs.at("y"))
+        << "W=" << lanes << " lane " << l;
+    // The decoded stats are derived statically from the control stream;
+    // they must equal what the interpreter counts dynamically.
+    EXPECT_EQ(rom.stats, ref.stats);
+  }
+}
+
 TEST(DecodedTest, MatchesReferenceSimulator) {
   auto prog = engine::CompileCache().get_or_compile(functional_key());
-
-  Rng rng(7);
-  curve::Affine base = curve::deterministic_point(2);
-  trace::InputBindings bindings = bindings_for(*prog, base);
-
-  curve::Decomposition dec = curve::decompose(rng.next_u256());
-  curve::RecodedScalar rec = curve::recode(dec.a);
-  trace::EvalContext ctx;
-  ctx.recoded = &rec;
-  ctx.k_was_even = dec.k_was_even;
-
-  asic::SimResult ref = asic::simulate(prog->sm, bindings, ctx);
-
   engine::DecodedRom rom = engine::decode(prog->sm);
-  engine::SimWorkspace ws;
-  engine::run(rom, bindings, ctx, ws);
-
-  EXPECT_TRUE(engine::output_value(rom, ws, "x") == ref.outputs.at("x"));
-  EXPECT_TRUE(engine::output_value(rom, ws, "y") == ref.outputs.at("y"));
-  // The decoded stats are derived statically from the control stream; they
-  // must equal what the interpreter counts dynamically.
-  EXPECT_EQ(rom.stats, ref.stats);
+  Rng rng(7);
+  for (int w : {1, 8}) {
+    SCOPED_TRACE("W=" + std::to_string(w));
+    engine::LaneWorkspace ws;
+    expect_wave_matches_simulator(*prog, rom, stage_jobs(*prog, w, rng), ws);
+  }
 }
 
 TEST(DecodedTest, WorkspaceReuseAcrossJobsIsClean) {
+  // One workspace serving full and single-lane waves in turn (the engine's
+  // full-then-partial pattern): no wave may see a previous wave's state.
   auto prog = engine::CompileCache().get_or_compile(functional_key());
   engine::DecodedRom rom = engine::decode(prog->sm);
-  engine::SimWorkspace ws;
-  curve::Affine base = curve::deterministic_point(1);
-  trace::InputBindings bindings = bindings_for(*prog, base);
-
+  engine::LaneWorkspace ws;
   Rng rng(99);
-  for (int i = 0; i < 3; ++i) {
-    curve::Decomposition dec = curve::decompose(rng.next_u256());
-    curve::RecodedScalar rec = curve::recode(dec.a);
-    trace::EvalContext ctx;
-    ctx.recoded = &rec;
-    ctx.k_was_even = dec.k_was_even;
-    engine::run(rom, bindings, ctx, ws);  // same ws every time
-    asic::SimResult ref = asic::simulate(prog->sm, bindings, ctx);
-    EXPECT_TRUE(engine::output_value(rom, ws, "x") == ref.outputs.at("x")) << "job " << i;
-    EXPECT_TRUE(engine::output_value(rom, ws, "y") == ref.outputs.at("y")) << "job " << i;
+  for (int w : {8, 1, 8, 1}) {
+    SCOPED_TRACE("W=" + std::to_string(w));
+    expect_wave_matches_simulator(*prog, rom, stage_jobs(*prog, w, rng), ws);
   }
+}
+
+TEST(DecodedTest, RejectsOutOfRangeIndices) {
+  // decode() is the only check the executor gets: a ROM naming a register,
+  // unit or select-map entry outside the machine must be refused there.
+  auto prog = engine::CompileCache().get_or_compile(functional_key());
+  const sched::CompiledSm& good = prog->sm;
+  const auto first_reg_read = [](sched::CompiledSm& sm) -> sched::SrcSel& {
+    for (sched::CtrlWord& w : sm.rom)
+      for (sched::UnitCtrl& u : w.mul)
+        if (u.a.kind == sched::SrcSel::Kind::kReg) return u.a;
+    throw std::runtime_error("no register read");
+  };
+  const auto first_issue = [](sched::CompiledSm& sm) -> sched::UnitCtrl& {
+    for (sched::CtrlWord& w : sm.rom)
+      if (!w.mul.empty()) return w.mul.front();
+    throw std::runtime_error("no issue");
+  };
+  const auto first_wb = [](sched::CompiledSm& sm) -> sched::WbCtrl& {
+    for (sched::CtrlWord& w : sm.rom)
+      if (!w.writebacks.empty()) return w.writebacks.front();
+    throw std::runtime_error("no writeback");
+  };
+
+  sched::CompiledSm bad = good;
+  first_reg_read(bad).reg = good.rf_slots;
+  EXPECT_THROW(engine::decode(bad), std::logic_error);
+  bad = good;
+  first_issue(bad).unit = good.cfg.num_multipliers;
+  EXPECT_THROW(engine::decode(bad), std::logic_error);
+  bad = good;
+  first_wb(bad).reg = -1;
+  EXPECT_THROW(engine::decode(bad), std::logic_error);
+  bad = good;
+  ASSERT_FALSE(bad.select_maps.empty());
+  bad.select_maps.front().reg.front().front() = good.rf_slots;
+  EXPECT_THROW(engine::decode(bad), std::logic_error);
+  EXPECT_NO_THROW(engine::decode(good));
 }
 
 TEST(BatchEngineTest, MatchesGoldenScalarMulAcross1kScalars) {
@@ -231,6 +295,82 @@ TEST(BatchEngineTest, RepeatedRunsReuseTheProgram) {
   }
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(eng.program().sm.cycles(), a.front().stats.cycles);
+}
+
+TEST(BatchEngineTest, RaggedRequestsBitwise) {
+  // Every request size from one partial wave (1..7) through full waves
+  // plus a tail, on one and two workers and with unaligned explicit
+  // chunks: each result equals the software [k]P, each request's first job
+  // equals asic::simulate including SimStats, and engine.lanes.ragged_jobs
+  // counts exactly the jobs of the partial waves.
+  engine::CompileCache cache;
+  auto prog = cache.get_or_compile(functional_key());
+  obs::Counter& ragged = obs::global().metrics.counter("engine.lanes.ragged_jobs");
+  const size_t W = engine::kMaxLanes;
+
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+  sizes.push_back(255);
+  Rng rng(20261019);
+  struct Request {
+    std::vector<engine::SmJob> jobs;
+    std::vector<curve::Affine> golden;
+    asic::SimResult first;
+  };
+  std::vector<Request> reqs;
+  for (size_t n : sizes) {
+    Request r;
+    for (size_t i = 0; i < n; ++i) {
+      r.jobs.push_back(engine::SmJob{rng.next_u256(), curve::deterministic_point(1 + i % 5)});
+      r.golden.push_back(curve::to_affine(curve::scalar_mul(r.jobs[i].k, r.jobs[i].base)));
+    }
+    curve::Decomposition dec = curve::decompose(r.jobs[0].k);
+    curve::RecodedScalar rec = curve::recode(dec.a);
+    trace::EvalContext ctx;
+    ctx.recoded = &rec;
+    ctx.k_was_even = dec.k_was_even;
+    r.first = asic::simulate(prog->sm, bindings_for(*prog, r.jobs[0].base), ctx);
+    reqs.push_back(std::move(r));
+  }
+
+  struct Config {
+    int workers;
+    size_t chunk;
+  };
+  for (Config c : {Config{1, 0}, Config{2, 0}, Config{2, 12}}) {
+    engine::EngineOptions opt;
+    opt.workers = c.workers;
+    opt.chunk = c.chunk;
+    opt.key = functional_key();
+    opt.cache = &cache;
+    engine::BatchEngine eng(opt);
+    for (const Request& r : reqs) {
+      const size_t n = r.jobs.size();
+      SCOPED_TRACE("workers=" + std::to_string(c.workers) + " chunk=" +
+                   std::to_string(c.chunk) + " n=" + std::to_string(n));
+      const uint64_t ragged0 = ragged.value();
+      std::vector<engine::SmResult> results = eng.run(r.jobs);
+      ASSERT_EQ(results.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(results[i].out.x == r.golden[i].x) << "job " << i;
+        EXPECT_TRUE(results[i].out.y == r.golden[i].y) << "job " << i;
+      }
+      EXPECT_TRUE(results[0].out.x == r.first.outputs.at("x"));
+      EXPECT_TRUE(results[0].out.y == r.first.outputs.at("y"));
+      EXPECT_EQ(results[0].stats, r.first.stats);
+
+      // Default chunks are wave-aligned, so only the last task has a tail;
+      // an explicit chunk is honoured exactly and every task may have one.
+      size_t tails = n % W;
+      if (c.chunk != 0) {
+        tails = 0;
+        for (size_t b = 0; b < n; b += c.chunk) tails += (std::min(n, b + c.chunk) - b) % W;
+      }
+      if (obs::compiled_in()) {
+        EXPECT_EQ(ragged.value() - ragged0, tails);
+      }
+    }
+  }
 }
 
 TEST(BatchEngineTest, VerifyRejectsExactlyTheCorruptedIndices) {

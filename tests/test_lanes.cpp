@@ -58,7 +58,6 @@ std::vector<u128> operand_stream(size_t n, uint64_t seed, size_t phase) {
 
 std::vector<const lk::Kernels*> compiled_tables() {
   std::vector<const lk::Kernels*> t{&lk::generic_kernels()};
-  if (lk::avx2_supported()) t.push_back(&lk::avx2_kernels());
   if (lk::avx512_supported()) t.push_back(&lk::avx512_kernels());
   return t;
 }

@@ -121,9 +121,9 @@ else
   echo "skip  perf_regress (field baseline)"
 fi
 
-# Lane-executor regression gate: the 8-wide SoA wave path must stay >=5x
-# over the scalar interpreter walk (measured in-process, so the ratio is
-# robust to shared-host load), 8 workers must not regress below 1 worker,
+# Lane-executor regression gate: a full 8-lane run_lanes wave must stay >=5x
+# the jobs/s of 1-lane waves (measured in-process, so the ratio is robust to
+# shared-host load), 8 workers must not regress below 1 worker,
 # and every lane must match the software golden model bitwise
 # (tools/baselines/bench_lanes_baseline.jsonl, docs/ENGINE.md).
 if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$out_dir/BENCH_lanes.json" ] \
