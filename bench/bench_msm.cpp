@@ -1,10 +1,9 @@
 // MSM experiment — multi-scalar multiplication backend sweep, the zk-scale
 // streaming Pippenger pipeline, and the batch signature-verification speedup
 // it buys. Three questions:
-//   1. Where is the Straus/Pippenger crossover, and how far behind is the
-//      software-emulated EndoSplit backend (whose [2^64j]P auxiliary points
-//      cost 64 doublings each here but are nearly free in the paper's
-//      hardware)? This calibrates kPippengerMinTerms in curve/multiscalar.cpp.
+//   1. Where is the Straus/Pippenger crossover? Straus is the reference
+//      column; the sweep calibrates kPippengerMinTerms in
+//      curve/multiscalar.cpp.
 //   2. How does the streaming Pippenger pipeline scale to zk-style term
 //      counts (2^14 -> 2^20), and does peak working memory stay at
 //      O(buckets + chunk) while it does?
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
 
   bench::print_header("MSM — backend sweep (ms per MSM, n random 256-bit terms)");
 
-  const std::vector<size_t> sizes = {2, 8, 64, 512, 4096};
+  const std::vector<size_t> sizes = {2, 8, 16, 32, 64, 512, 4096};
   const size_t max_n = sizes.back();
   Rng rng(20260806);
   std::vector<curve::ScalarPoint> pool;
@@ -105,18 +104,17 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < max_n; ++i)
     pool.push_back({rng.next_u256(), curve::deterministic_point(1000 + i)});
 
-  const MsmBackend backends[] = {MsmBackend::kStraus, MsmBackend::kPippenger,
-                                 MsmBackend::kEndoSplit};
-  std::printf("%8s %12s %12s %12s %14s\n", "n", "straus", "pippenger", "endosplit",
-              "auto picks");
-  bench::print_rule(64);
+  const MsmBackend backends[] = {MsmBackend::kStraus, MsmBackend::kPippenger};
+  std::printf("%8s %12s %12s %14s\n", "n", "straus", "pippenger", "auto picks");
+  bench::print_rule(50);
+  size_t crossover = 0;  // smallest swept n where Pippenger beats Straus
   for (size_t n : sizes) {
     std::vector<curve::ScalarPoint> terms(pool.begin(),
                                           pool.begin() + static_cast<long>(n));
     const int reps = n <= 64 ? 8 : 1;
-    double ms[3] = {0, 0, 0};
+    double ms[2] = {0, 0};
     curve::Affine ref{};
-    for (int b = 0; b < 3; ++b) {
+    for (int b = 0; b < 2; ++b) {
       curve::MsmOptions opts;
       opts.backend = backends[b];
       curve::Affine out{};
@@ -134,11 +132,13 @@ int main(int argc, char** argv) {
                            std::to_string(n) + ".ms";
       rec.record(metric, ms[b], "ms");
     }
+    if (!crossover && ms[1] < ms[0]) crossover = n;
     const char* pick = curve::msm_backend_name(curve::msm_choose_backend(n));
-    std::printf("%8zu %12.3f %12.3f %12.3f %14s\n", n, ms[0], ms[1], ms[2], pick);
+    std::printf("%8zu %12.3f %12.3f %14s\n", n, ms[0], ms[1], pick);
   }
   std::printf("\nCross-backend agreement: %s\n",
               mismatches == 0 ? "all backends bitwise identical" : "MISMATCH");
+  std::printf("Measured crossover: Pippenger first beats Straus at n = %zu\n", crossover);
 
   bench::print_header(
       "Streaming Pippenger — zk-scale sweep (terms pulled from a bounded source)");
@@ -232,9 +232,6 @@ int main(int argc, char** argv) {
       "multiplication per signature. The streaming sweep drives the same\n"
       "bucket pipeline from a pull source: buckets persist across chunks, so\n"
       "the peak-MB column stays flat from 2^14 to 2^20 while throughput\n"
-      "holds. EndoSplit emulates the paper's 4-way endomorphism split in\n"
-      "software, where the auxiliary points cost 192 doublings per term —\n"
-      "the column shows why only hardware makes that decomposition\n"
-      "profitable.\n");
+      "holds.\n");
   return mismatches == 0 ? 0 : 1;
 }

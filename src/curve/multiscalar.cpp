@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/check.hpp"
 #include "curve/scalar.hpp"
-#include "curve/scalarmul.hpp"
 #include "field/fp_lanes.hpp"
 #include "obs/obs.hpp"
 
@@ -54,7 +52,7 @@ void run_tasks(const MsmParallelFor& par, size_t n,
 // of odd multiples are built in R1, then normalised to affine R2 in one
 // batched inversion so the main loop runs entirely on mixed additions.
 
-int straus_width_for(size_t n_terms) {
+int straus_wnaf_width(size_t n_terms) {
   // Per-term cost model (in field mults): table 2^(w-2) full additions +
   // ~257/(w+1) mixed additions for the digit hits. w = 4 and 5 are within
   // noise of each other per term; wider tables only pay off once the digit
@@ -64,7 +62,6 @@ int straus_width_for(size_t n_terms) {
 }
 
 PointR1 msm_straus(const std::vector<ScalarPoint>& terms, int width) {
-  FOURQ_CHECK(width >= 2 && width <= 7);
   const size_t tsize = size_t{1} << (width - 1);  // odd multiples 1,3,5,...
 
   struct Prepared {
@@ -160,8 +157,7 @@ struct PipConfig {
   size_t seg_len = 0;  // buckets per segment, half / nseg
   size_t chunk = 0;    // input terms staged per chunk
   bool glv = false;    // 4-way radix-2^64 pre-split
-  bool affine = false;  // batched-affine bucket accumulation
-  bool lanes = true;    // 8-wide lane-kernel insertion waves
+  bool lanes = true;   // 8-wide lane-kernel insertion waves
 };
 
 // Segment count: wide enough to feed a worker pool (the parallel grain is
@@ -216,9 +212,8 @@ struct StreamCtx {
   PipConfig cfg;
   MsmParallelFor par;
 
-  // Persistent across chunks: the bucket grid, one representation active.
-  std::vector<PointR1> bkt_r1;
-  std::vector<PointR2Aff> bkt_aff;
+  // Persistent across chunks: the bucket grid.
+  std::vector<PointR1> bkt;
   std::vector<uint8_t> used;
 
   // Chunk staging, reused every chunk. Bucket insertions are routed to
@@ -237,7 +232,7 @@ struct StreamCtx {
 
   MsmStats st;
   size_t mem_cur = 0, mem_peak = 0;
-  std::atomic<uint64_t> waves{0}, rounds{0}, invs{0};
+  std::atomic<uint64_t> waves{0}, invs{0};
 
   void mem_add(size_t b) {
     mem_cur += b;
@@ -373,76 +368,6 @@ void drain_r1(StreamCtx& S, PointR1* buckets, std::vector<BucketIns>& pending) {
   S.waves.fetch_add(waves, std::memory_order_relaxed);
 }
 
-// Drain one cell's pending insertions into affine R2 buckets:
-// collision-scheduled rounds. Each round claims at most one insertion per
-// bucket (in term order, preserving per-bucket FIFO), computes the unified
-// addition with both inputs at Z = 1, and renormalises every sum in the
-// round with ONE simultaneous inversion of the f*g denominators
-// (field::batch_invert — lane-vectorised for rounds of >= 32).
-//
-// Per-add cost is ~12M plus the amortised 3M of the shared inversion,
-// against 7M for the extended-coordinate mixed add — which is why the auto
-// path declines this layout in software. Hardware large-MSM pipelines keep
-// points affine because their adders are fixed-width and inversion
-// batching is nearly free; this path reproduces that datapath faithfully
-// enough to measure.
-void drain_affine(StreamCtx& S, PointR2Aff* buckets,
-                  const std::vector<BucketIns>& pending) {
-  static const Fp2 two = Fp2::from_u64(2);
-  const Fp2& two_d = curve_2d();
-  const Fp2& inv_2d = curve_2d_inv();
-  const PointR2Aff* base = S.base.data();
-  std::vector<uint8_t> done(pending.size(), 0);
-  std::vector<uint8_t> claimed(S.cfg.half, 0);
-  std::vector<uint32_t> sel;
-  std::vector<Fp2> X3, Y3, Z3, T3;
-  size_t remaining = pending.size();
-  uint64_t rounds = 0;
-  while (remaining > 0) {
-    sel.clear();
-    for (size_t i = 0; i < pending.size(); ++i) {
-      if (done[i] || claimed[pending[i].bucket]) continue;
-      claimed[pending[i].bucket] = 1;
-      done[i] = 1;
-      sel.push_back(static_cast<uint32_t>(i));
-    }
-    const size_t rn = sel.size();
-    X3.resize(rn);
-    Y3.resize(rn);
-    Z3.resize(rn);
-    T3.resize(rn);
-    for (size_t l = 0; l < rn; ++l) {
-      const BucketIns& ins = pending[sel[l]];
-      const PointR2Aff& bp = buckets[ins.bucket];
-      const PointR2Aff q = ins.negate ? neg_r2aff(base[ins.term]) : base[ins.term];
-      // Unified addition with Z1 = Z2 = 1: d = 2, and T1 is recovered from
-      // the stored 2dT coordinate via the precomputed (2d)^-1.
-      Fp2 a = bp.ymx * q.ymx;
-      Fp2 b = bp.xpy * q.xpy;
-      Fp2 cc = (bp.dt2 * q.dt2) * inv_2d;
-      Fp2 e = b - a, f = two - cc, g = two + cc, h = b + a;
-      X3[l] = e * f;
-      Y3[l] = g * h;
-      Z3[l] = f * g;
-      T3[l] = e * h;
-    }
-    field::batch_invert(Z3.data(), rn);  // Z3 never 0: the formulas are complete
-    for (size_t l = 0; l < rn; ++l) {
-      const BucketIns& ins = pending[sel[l]];
-      const Fp2& inv = Z3[l];
-      PointR2Aff& bp = buckets[ins.bucket];
-      bp.xpy = (X3[l] + Y3[l]) * inv;
-      bp.ymx = (Y3[l] - X3[l]) * inv;
-      bp.dt2 = (T3[l] * inv) * two_d;
-      claimed[ins.bucket] = 0;
-    }
-    remaining -= rn;
-    ++rounds;
-  }
-  S.rounds.fetch_add(rounds, std::memory_order_relaxed);
-  S.invs.fetch_add(rounds, std::memory_order_relaxed);
-}
-
 // One grid cell of the insertion phase: window j, bucket segment s. Drains
 // the pending list staging addressed to this cell — every entry already
 // targets a bucket in [s*seg_len, (s+1)*seg_len) of window j, in global
@@ -456,34 +381,19 @@ void insert_cell(StreamCtx& S, size_t j, size_t s) {
       S.cell_pending[j * static_cast<size_t>(cfg.nseg) + s];
   if (list.empty()) return;
   uint8_t* wu = &S.used[j * cfg.half];
+  PointR1* wb = &S.bkt[j * cfg.half];
   size_t w = 0;
-  if (cfg.affine) {
-    PointR2Aff* waff = &S.bkt_aff[j * cfg.half];
-    for (const BucketIns& ins : list) {
-      if (!wu[ins.bucket]) {
-        const Affine& p = S.pts[ins.term];
-        waff[ins.bucket] = to_r2aff(ins.negate ? neg(p) : p);
-        wu[ins.bucket] = 1;
-      } else {
-        list[w++] = ins;
-      }
+  for (const BucketIns& ins : list) {
+    if (!wu[ins.bucket]) {
+      const Affine& p = S.pts[ins.term];
+      wb[ins.bucket] = to_r1(ins.negate ? neg(p) : p);
+      wu[ins.bucket] = 1;
+    } else {
+      list[w++] = ins;
     }
-    list.resize(w);
-    if (w) drain_affine(S, waff, list);
-  } else {
-    PointR1* wr1 = &S.bkt_r1[j * cfg.half];
-    for (const BucketIns& ins : list) {
-      if (!wu[ins.bucket]) {
-        const Affine& p = S.pts[ins.term];
-        wr1[ins.bucket] = to_r1(ins.negate ? neg(p) : p);
-        wu[ins.bucket] = 1;
-      } else {
-        list[w++] = ins;
-      }
-    }
-    list.resize(w);
-    if (w) drain_r1(S, wr1, list);
   }
+  list.resize(w);
+  if (w) drain_r1(S, wb, list);
   list.clear();  // keeps capacity for the next chunk
 }
 
@@ -624,12 +534,9 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
   const PipConfig& cfg = S.cfg;
   const size_t nbkt = static_cast<size_t>(cfg.nwin) * cfg.half;
 
-  if (cfg.affine)
-    S.bkt_aff.resize(nbkt);
-  else
-    S.bkt_r1.resize(nbkt);
+  S.bkt.resize(nbkt);
   S.used.assign(nbkt, 0);
-  S.mem_add(nbkt * ((cfg.affine ? sizeof(PointR2Aff) : sizeof(PointR1)) + 1));
+  S.mem_add(nbkt * (sizeof(PointR1) + 1));
 
   S.sub_cap = cfg.chunk * (cfg.glv ? 4 : 1);
   S.raw.resize(cfg.chunk);
@@ -696,10 +603,7 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     for (size_t b = cfg.seg_len; b-- > 0;) {
       const size_t g = lo + b;
       if (S.used[g]) {
-        if (cfg.affine)
-          sp = sa ? add_mixed(sp, S.bkt_aff[g]) : r2aff_to_r1(S.bkt_aff[g]);
-        else
-          sp = sa ? add(sp, to_r2(S.bkt_r1[g])) : S.bkt_r1[g];
+        sp = sa ? add(sp, to_r2(S.bkt[g])) : S.bkt[g];
         sa = true;
       }
       if (!sa) continue;  // no buckets at or above this level yet
@@ -754,9 +658,7 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
   S.st.windows = cfg.nwin;
   S.st.segments = cfg.nseg;
   S.st.glv = cfg.glv;
-  S.st.affine = cfg.affine;
   S.st.bucket_waves = S.waves.load(std::memory_order_relaxed);
-  S.st.bucket_rounds = S.rounds.load(std::memory_order_relaxed);
   S.st.inversion_batches = S.invs.load(std::memory_order_relaxed);
   S.st.peak_bytes = S.mem_peak;
   return any ? q : identity();
@@ -769,9 +671,6 @@ PipConfig resolve_pip(const MsmOptions& opts, size_t live, size_t total_bits,
   cfg.glv = opts.glv == MsmTri::kOn ||
             (opts.glv == MsmTri::kAuto &&
              msm_glv_wins(live, total_bits, max_bits, opts.glv_aux_dbl));
-  // Batched-affine never beats the extended-coordinate adds in software
-  // (~15M vs 7M per insertion), so kAuto is an honest off.
-  cfg.affine = opts.affine == MsmTri::kOn;
   cfg.lanes = opts.lanes != MsmTri::kOff;
   const int digit_bits = cfg.glv ? std::min(max_bits, 64) : max_bits;
   cfg.c = opts.window
@@ -795,7 +694,6 @@ PipConfig resolve_pip(const MsmOptions& opts, size_t live, size_t total_bits,
 void publish_stats(const MsmStats& st, MsmStats* out) {
   FOURQ_COUNTER_ADD("curve.msm.chunks", st.chunks);
   FOURQ_COUNTER_ADD("curve.msm.bucket_waves", st.bucket_waves);
-  FOURQ_COUNTER_ADD("curve.msm.bucket_rounds", st.bucket_rounds);
   FOURQ_COUNTER_ADD("curve.msm.inversion_batches", st.inversion_batches);
   FOURQ_COUNTER_INC_L("curve.msm.calls", "glv", st.glv ? "on" : "off");
   FOURQ_GAUGE_SET("curve.msm.peak_kb", static_cast<double>(st.peak_bytes) / 1024.0);
@@ -822,59 +720,6 @@ MsmTermSource vector_source(const std::vector<ScalarPoint>& terms, size_t* pos) 
     *pos += n;
     return n;
   };
-}
-
-// ---------------------------------------------------------------------------
-// EndoSplit: the paper's 4-way decomposition per term. k = sum_j a_j 2^(64j)
-// with the raw 64-bit limbs as multi-scalars (curve::radix64_split), so
-// [k]P = sum_j [a_j]([2^64j]P) — an exact integer identity needing no
-// subgroup assumption and no even-k correction. The auxiliary points stand
-// in for phi/psi (DESIGN.md §2) and cost 64 doublings each in software;
-// only the points up to each term's top non-zero limb are computed, and all
-// of them are normalised back to affine with one batched inversion.
-
-PointR1 msm_endosplit(const std::vector<ScalarPoint>& terms, int straus_width) {
-  struct LiveRef {
-    const ScalarPoint* t;
-    size_t aux_off;
-    Radix64 rs;
-  };
-  std::vector<LiveRef> live;
-  size_t aux_n = 0;
-  for (const ScalarPoint& t : terms) {
-    if (t.k.is_zero()) continue;
-    LiveRef ref{&t, aux_n, radix64_split(t.k)};
-    aux_n += static_cast<size_t>(std::max(ref.rs.top, 0));
-    live.push_back(ref);
-  }
-  if (live.empty()) return identity();
-
-  std::vector<PointR1> aux;  // [2^64 j]P, j = 1..top, per term
-  aux.reserve(aux_n);
-  for (const LiveRef& ref : live) {
-    PointR1 q = to_r1(ref.t->p);
-    for (int j = 1; j <= ref.rs.top; ++j) {
-      for (int d = 0; d < 64; ++d) q = dbl(q);
-      aux.push_back(q);
-    }
-  }
-  std::vector<Affine> aux_aff = batch_to_affine(aux);
-
-  std::vector<ScalarPoint> split;
-  split.reserve(4 * live.size());
-  for (const LiveRef& ref : live) {
-    for (int j = 0; j <= ref.rs.top; ++j) {
-      const uint64_t limb = ref.rs.a[static_cast<size_t>(j)];
-      if (!limb) continue;
-      split.push_back({U256(limb),
-                       j == 0 ? ref.t->p
-                              : aux_aff[ref.aux_off + static_cast<size_t>(j) - 1],
-                       64});
-    }
-  }
-  if (split.empty()) return identity();
-  int width = straus_width ? straus_width : straus_width_for(split.size());
-  return msm_straus(split, width);
 }
 
 }  // namespace
@@ -923,20 +768,12 @@ const char* msm_backend_name(MsmBackend b) {
     case MsmBackend::kAuto: return "auto";
     case MsmBackend::kStraus: return "straus";
     case MsmBackend::kPippenger: return "pippenger";
-    case MsmBackend::kEndoSplit: return "endosplit";
   }
   return "?";
 }
 
 MsmBackend msm_choose_backend(size_t n_terms, const MsmOptions& opts) {
   if (opts.backend != MsmBackend::kAuto) return opts.backend;
-  // EndoSplit is never auto-selected: its auxiliary points cost 3x64
-  // doublings per term in software, which the 4x shorter doubling chain
-  // only repays at n = 1 — where it still ties Straus (bench_msm measures
-  // this; the hardware endomorphism the paper relies on is nearly free).
-  // The same decomposition IS auto-reachable as the Pippenger GLV
-  // pre-split, whose crossover model (msm_glv_wins) prices the auxiliary
-  // points explicitly.
   return n_terms < kPippengerMinTerms ? MsmBackend::kStraus
                                       : MsmBackend::kPippenger;
 }
@@ -1014,25 +851,18 @@ PointR1 multi_scalar_mul(const std::vector<ScalarPoint>& terms,
         opts.stats->terms = live;
         opts.stats->inversion_batches = 1;  // one batch_to_r2aff
       }
-      int w = opts.straus_width ? opts.straus_width : straus_width_for(live);
-      return msm_straus(terms, w);
+      return msm_straus(terms, straus_wnaf_width(live));
     }
     case MsmBackend::kPippenger: {
       FOURQ_COUNTER_INC_L("curve.msm.calls", "backend", "pippenger");
       PipConfig cfg = resolve_pip(opts, live, total_bits, max_bits);
+      // The whole input is at hand, so never stage more than it holds: a
+      // 16384-term default chunk would allocate and fill ~6 MB of staging
+      // for a 40-term batch verification. The result is chunk-invariant.
+      cfg.chunk = std::min(cfg.chunk, terms.size());
       size_t pos = 0;
       return msm_pippenger_stream(vector_source(terms, &pos), opts, cfg);
     }
-    case MsmBackend::kEndoSplit:
-      FOURQ_COUNTER_INC_L("curve.msm.calls", "backend", "endosplit");
-      FOURQ_COUNTER_ADD_L("curve.msm.terms", "backend", "endosplit", live);
-      if (opts.stats) {
-        opts.stats->backend = backend;
-        opts.stats->terms = live;
-        opts.stats->glv = true;  // the decomposition itself
-        opts.stats->inversion_batches = 2;  // aux normalise + Straus tables
-      }
-      return msm_endosplit(terms, opts.straus_width);
     case MsmBackend::kAuto:
       break;  // unreachable: msm_choose_backend resolved it
   }

@@ -3,7 +3,7 @@
 // multiplications) and the workload zk-style proof systems run at n in the
 // millions.
 //
-// Three backends live behind one multi_scalar_mul(terms, MsmOptions) API:
+// Two backends live behind one multi_scalar_mul(terms, MsmOptions) API:
 //
 //  * Straus      — interleaved width-w NAF: one shared doubling chain,
 //                  per-point odd-multiple tables (normalised to affine via
@@ -17,24 +17,13 @@
 //                  is split into segments — the (window, segment) grid is
 //                  the parallel axis (MsmOptions::parallel) — and a
 //                  deterministic MSB-first combine keeps the result bitwise
-//                  independent of chunking and thread count. Optional
-//                  per-term GLV pre-split (MsmOptions::glv) and
-//                  batched-affine bucket accumulation (MsmOptions::affine)
-//                  reshape the datapath the way the large-MSM hardware
-//                  literature does; both default to the software-honest
-//                  choice (see the option comments).
-//  * EndoSplit   — the paper's 4-way decomposition applied per term: each
-//                  256-bit (k, P) becomes four 64-bit terms over P, [2^64]P,
-//                  [2^128]P, [2^192]P (DESIGN.md §2 substitution for
-//                  phi/psi), shrinking the shared doubling chain 4x. In
-//                  software the auxiliary points cost 64 doublings each, so
-//                  this backend only breaks even where the doubling chain
-//                  dominates (n = 1); it exists because the hardware
-//                  endomorphism is nearly free and the backend doubles as a
-//                  cross-check of the decomposition identity. The same
-//                  decomposition drives the Pippenger GLV pre-split, where
-//                  the auto model decides from a configurable auxiliary-
-//                  point cost whether it pays.
+//                  independent of chunking and thread count. The optional
+//                  per-term GLV pre-split (MsmOptions::glv) applies the
+//                  paper's 4-way decomposition: each 256-bit (k, P) becomes
+//                  four 64-bit terms over P, [2^64]P, [2^128]P, [2^192]P
+//                  (DESIGN.md §2 substitution for phi/psi). The auto model
+//                  decides from a configurable auxiliary-point cost whether
+//                  it pays; at the software cost it declines.
 //
 // kAuto picks by a calibrated crossover (bench/bench_msm.cpp measures it).
 // All backends return the same group element; after to_affine() the
@@ -63,7 +52,7 @@ struct ScalarPoint {
   int bits = 256;
 };
 
-enum class MsmBackend : uint8_t { kAuto, kStraus, kPippenger, kEndoSplit };
+enum class MsmBackend : uint8_t { kAuto, kStraus, kPippenger };
 
 // Tri-state feature toggle: kAuto defers to the cost model, kOn/kOff force.
 enum class MsmTri : uint8_t { kAuto, kOn, kOff };
@@ -85,13 +74,11 @@ struct MsmStats {
   int windows = 0;          // digit windows (nwin)
   int segments = 0;         // bucket segments per window (parallel grain)
   bool glv = false;         // GLV 4-way pre-split applied
-  bool affine = false;      // batched-affine bucket accumulation used
   size_t terms = 0;         // live (non-zero-scalar) input terms
   size_t sub_terms = 0;     // bucket-insertion terms after the pre-split
   size_t chunks = 0;        // streamed chunks consumed
   size_t bucket_waves = 0;  // 8-wide lane-kernel mixed-add waves
-  size_t bucket_rounds = 0;         // collision-scheduled affine add rounds
-  size_t inversion_batches = 0;     // simultaneous-inversion calls
+  size_t inversion_batches = 0;  // simultaneous-inversion calls
   size_t peak_bytes = 0;    // peak bytes of MSM-owned working memory
   // Wall-time phase split of the streaming pipeline (milliseconds): chunk
   // staging (normalise + digit routing), bucket insertion, final fold.
@@ -105,8 +92,6 @@ struct MsmOptions {
   // Pippenger bucket window width c in bits (buckets per window: 2^(c-1)).
   // 0 = choose by minimising the predicted add count for the term set.
   int window = 0;
-  // Straus wNAF width (2..7). 0 = choose from the term count.
-  int straus_width = 0;
   // Optional parallel executor for the Pippenger (window, bucket-segment)
   // grid. Results are bitwise independent of whether/how this runs (each
   // cell owns a disjoint bucket range, scans terms in a fixed order, and
@@ -115,7 +100,8 @@ struct MsmOptions {
   // Streaming chunk: how many input terms are staged (normalised +
   // digit-decomposed) at once. Buckets persist across chunks, so peak
   // memory is O(buckets + chunk) while the result stays bitwise invariant
-  // to the chunk size. 0 = default (16384).
+  // to the chunk size. 0 = default (16384); the vector entry point caps
+  // the chunk at the term count, so small MSMs stage only what they hold.
   size_t chunk = 0;
   // GLV pre-split: rewrite each 256-bit term into <= 4 64-bit terms over
   // P, [2^64]P, [2^128]P, [2^192]P before bucketing, shrinking the window
@@ -130,14 +116,6 @@ struct MsmOptions {
   // Auxiliary-point cost (in point doublings per term) the glv auto model
   // charges. See above; exposed so the hardware operating point is testable.
   int glv_aux_dbl = 192;
-  // Batched-affine bucket accumulation: buckets live in affine R2 form and
-  // collision-scheduled rounds of additions renormalise each round with one
-  // simultaneous inversion (field::batch_invert). This is the layout the
-  // large-MSM hardware literature uses (inversion is cheap there); in
-  // software one affine add costs ~14M against 7M for the extended-
-  // coordinate mixed add, so kAuto declines it. kOn exists for measurement
-  // and differential testing.
-  MsmTri affine = MsmTri::kAuto;
   // Bucket segments per window (power of two; the parallel grain is
   // nwin * segments cells). 0 = derived from the window width alone, so
   // the fold shape — and the bitwise result — never depends on thread

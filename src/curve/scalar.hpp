@@ -46,10 +46,10 @@ RecodedScalar recode(const std::array<uint64_t, 4>& a);
 
 // Raw radix-2^64 view of a scalar: k = sum_j a[j] 2^(64j) with `top` the
 // highest index whose limb is non-zero (-1 for k == 0). This is the exact
-// integer identity behind both the EndoSplit MSM backend and the Pippenger
-// GLV pre-split (curve/multiscalar.cpp): unlike `decompose` it never
-// perturbs k (no odd-forcing), because the MSM consumers need the literal
-// limbs, not a recodable tuple.
+// integer identity behind the Pippenger GLV pre-split
+// (curve/multiscalar.cpp): unlike `decompose` it never perturbs k (no
+// odd-forcing), because the pre-split needs the literal limbs, not a
+// recodable tuple.
 struct Radix64 {
   std::array<uint64_t, 4> a{};
   int top = -1;

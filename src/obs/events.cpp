@@ -15,11 +15,6 @@ const char* sim_event_kind_name(SimEventKind k) {
   return "unknown";
 }
 
-NullSink& NullSink::instance() {
-  static NullSink sink;
-  return sink;
-}
-
 std::string events_to_jsonl(const std::vector<CycleEvent>& events) {
   std::string out;
   out.reserve(events.size() * 48);

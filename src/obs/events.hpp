@@ -5,8 +5,8 @@
 // The simulator publishes one kCycle event per executed control word plus
 // one event per micro-architectural action inside it (issues, RF port
 // traffic, forwarded operands, writebacks, idle bubbles). Consumers
-// implement CycleEventSink; the default NullSink makes publication free
-// when nobody listens.
+// implement CycleEventSink; the simulator always feeds its own SimStats
+// sink and forwards to an extra sink only when one is given (nullptr = none).
 #pragma once
 
 #include <cstdint>
@@ -39,13 +39,6 @@ class CycleEventSink {
  public:
   virtual ~CycleEventSink() = default;
   virtual void on_event(const CycleEvent& e) = 0;
-};
-
-// Discards everything — the default sink wiring.
-class NullSink final : public CycleEventSink {
- public:
-  void on_event(const CycleEvent&) override {}
-  static NullSink& instance();
 };
 
 // Buffers the full stream in memory (the flat SM program runs for a few

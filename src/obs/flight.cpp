@@ -30,7 +30,6 @@ const char* flight_kind_name(FlightKind k) {
   switch (k) {
     case FlightKind::kSpan: return "span";
     case FlightKind::kTask: return "task";
-    case FlightKind::kCycle: return "cycle";
     case FlightKind::kMark: return "mark";
   }
   return "?";
@@ -178,10 +177,6 @@ void FlightRecorder::reset() {
   recorded_ = 0;
   evicted_ = 0;
   seen_.store(0, std::memory_order_relaxed);
-}
-
-void FlightCycleSink::on_event(const CycleEvent& e) {
-  f_->record(FlightKind::kCycle, sim_event_kind_name(e.kind), 0, 0, e.cycle);
 }
 
 }  // namespace fourq::obs

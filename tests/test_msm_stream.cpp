@@ -1,8 +1,8 @@
 // Streaming-Pippenger property tests: chunk-size bitwise invariance,
-// bucket-grid thread-count invariance, GLV pre-split differentials, the
-// batched-affine bucket path, and the bounded-memory contract. Complements
-// test_multiscalar.cpp (which pins the backend-agreement and recoding
-// behaviour shared with the non-streaming entry points).
+// bucket-grid thread-count invariance, GLV pre-split differentials and the
+// bounded-memory contract. Complements test_multiscalar.cpp (which pins the
+// backend-agreement and recoding behaviour shared with the non-streaming
+// entry points).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -231,41 +231,6 @@ TEST(MsmStream, GlvAutoFollowsAuxCostModel) {
   expect_same_point(got, naive_msm(terms), "auto-glv result");
 }
 
-TEST(MsmStream, BatchedAffineBucketsMatchExtendedCoords) {
-  const size_t n = 300;
-  std::vector<ScalarPoint> terms = mixed_terms(n, 0xaff1);
-  MsmOptions r1;
-  r1.backend = MsmBackend::kPippenger;
-  r1.affine = MsmTri::kOff;
-  PointR1 want = multi_scalar_mul(terms, r1);
-
-  MsmOptions aff = r1;
-  aff.affine = MsmTri::kOn;
-  MsmStats st;
-  aff.stats = &st;
-  PointR1 got = multi_scalar_mul(terms, aff);
-  expect_same_point(got, want, "affine buckets vs R1 buckets");
-  EXPECT_TRUE(st.affine);
-  EXPECT_GT(st.bucket_rounds, 0u);
-  EXPECT_GE(st.inversion_batches, st.bucket_rounds)
-      << "every round renormalises with one simultaneous inversion";
-
-  // Affine accumulation composes with the GLV pre-split and with chunking.
-  MsmOptions both = aff;
-  both.stats = nullptr;
-  both.glv = MsmTri::kOn;
-  both.chunk = 53;
-  expect_same_point(multi_scalar_mul(terms, both), want, "affine+glv+chunked");
-
-  // kAuto is an honest off in software.
-  MsmOptions auto_opts;
-  auto_opts.backend = MsmBackend::kPippenger;
-  MsmStats auto_st;
-  auto_opts.stats = &auto_st;
-  (void)multi_scalar_mul(terms, auto_opts);
-  EXPECT_FALSE(auto_st.affine);
-}
-
 TEST(MsmStream, PlantedZeroAndIdentityTermsAtScale) {
   // 20000 terms, ~97% degenerate (zero scalar or identity point): the
   // bucket pipeline must skip them without perturbing the live sum, across
@@ -319,6 +284,22 @@ TEST(MsmStream, PeakMemoryTracksChunkNotTermCount) {
   MsmStats more_terms = run(16384, 512);
   EXPECT_EQ(more_terms.peak_bytes, small_chunk.peak_bytes)
       << "peak is O(buckets + chunk), independent of n";
+}
+
+TEST(MsmStream, SmallVectorMsmStagesOnlyItsTerms) {
+  // The vector entry point caps the staging chunk at the term count: a
+  // batch-verification-sized Pippenger call must not allocate the 16384-
+  // term default staging (~6 MB) for 64 terms.
+  const size_t n = 64;
+  std::vector<ScalarPoint> terms = chain_terms(n, 0x5a11);
+  MsmOptions opts;
+  MsmStats st;
+  opts.stats = &st;
+  PointR1 got = multi_scalar_mul(terms, opts);
+  EXPECT_EQ(st.backend, MsmBackend::kPippenger);
+  EXPECT_EQ(st.chunks, 1u);
+  EXPECT_LT(st.peak_bytes, size_t{1} << 20);
+  expect_same_point(got, naive_msm(terms), "small vector MSM vs naive");
 }
 
 TEST(MsmStream, LaneWavesOffMatchesBitwise) {

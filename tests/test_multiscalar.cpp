@@ -190,7 +190,7 @@ TEST(MultiScalar, CancellationToIdentity) {
 // normalisation, agree with every other backend bit for bit.
 
 constexpr MsmBackend kAllBackends[] = {MsmBackend::kStraus, MsmBackend::kPippenger,
-                                       MsmBackend::kEndoSplit, MsmBackend::kAuto};
+                                       MsmBackend::kAuto};
 
 PointR1 naive_msm(const std::vector<ScalarPoint>& terms) {
   PointR1 acc = identity();
@@ -291,13 +291,6 @@ TEST(MsmBackends, ExplicitWindowOverrides) {
     Affine got = to_affine(multi_scalar_mul(terms, opts));
     EXPECT_TRUE(got.x == expect.x && got.y == expect.y) << "window=" << c;
   }
-  for (int w : {2, 7}) {
-    MsmOptions opts;
-    opts.backend = MsmBackend::kStraus;
-    opts.straus_width = w;
-    Affine got = to_affine(multi_scalar_mul(terms, opts));
-    EXPECT_TRUE(got.x == expect.x && got.y == expect.y) << "width=" << w;
-  }
 }
 
 TEST(MsmBackends, ParallelExecutionIsBitwiseStable) {
@@ -335,11 +328,11 @@ TEST(MsmBackends, AutoCrossoverAndNames) {
   EXPECT_EQ(msm_choose_backend(2), MsmBackend::kStraus);
   EXPECT_EQ(msm_choose_backend(4096), MsmBackend::kPippenger);
   MsmOptions forced;
-  forced.backend = MsmBackend::kEndoSplit;
-  EXPECT_EQ(msm_choose_backend(4096, forced), MsmBackend::kEndoSplit);
+  forced.backend = MsmBackend::kStraus;
+  EXPECT_EQ(msm_choose_backend(4096, forced), MsmBackend::kStraus);
+  EXPECT_STREQ(msm_backend_name(MsmBackend::kAuto), "auto");
   EXPECT_STREQ(msm_backend_name(MsmBackend::kStraus), "straus");
   EXPECT_STREQ(msm_backend_name(MsmBackend::kPippenger), "pippenger");
-  EXPECT_STREQ(msm_backend_name(MsmBackend::kEndoSplit), "endosplit");
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ void usage() {
       "  --verify-sigs N                   also batch-verify N SchnorrQ signatures\n"
       "  --corrupt i,j,...                 corrupt these signature indices first\n"
       "  --msm-backend NAME                verify-sigs multi-scalar backend:\n"
-      "                                    auto|straus|pippenger|endosplit\n"
+      "                                    auto|straus|pippenger\n"
       "  --msm-glv on|off|auto             Pippenger GLV 4-way pre-split\n"
       "                                    (auto = cost-model crossover)\n"
       "  --export-dir DIR                  live telemetry snapshot directory\n"
@@ -1795,7 +1795,6 @@ int main(int argc, char** argv) {
       if (b == "auto") bopt.msm = curve::MsmBackend::kAuto;
       else if (b == "straus") bopt.msm = curve::MsmBackend::kStraus;
       else if (b == "pippenger") bopt.msm = curve::MsmBackend::kPippenger;
-      else if (b == "endosplit") bopt.msm = curve::MsmBackend::kEndoSplit;
       else {
         std::fprintf(stderr, "unknown MSM backend: %s\n", b.c_str());
         return 2;
