@@ -67,14 +67,12 @@ std::optional<Affine> decompress(const CompressedPoint& bytes) {
   if (!yr || !yi) return std::nullopt;
   Fp2 y(*yr, *yi);
 
-  // x^2 = (y^2 - 1) / (d y^2 + 1).
-  Fp2 one = Fp2::from_u64(1);
-  Fp2 y2 = y.sqr();
-  Fp2 den = curve_d() * y2 + one;
-  if (den.is_zero()) return std::nullopt;
-  Fp2 x2 = (y2 - one) * den.inv();
+  // x^2 = (y^2 - 1) / (d y^2 + 1), rooted without inverting the
+  // denominator; a zero denominator or a non-square ratio rejects.
+  const Fp2 one = Fp2::from_u64(1);
+  const Fp2 y2 = y.sqr();
   Fp2 x;
-  if (!x2.sqrt(x)) return std::nullopt;
+  if (!Fp2::sqrt_ratio(y2 - one, curve_d() * y2 + one, x)) return std::nullopt;
   if (x.is_zero()) {
     if (sign) return std::nullopt;  // -0 == 0: sign bit must be clear
   } else if (x_sign(x) != sign) {

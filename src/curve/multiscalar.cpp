@@ -61,47 +61,74 @@ int straus_wnaf_width(size_t n_terms) {
   return 5;
 }
 
-PointR1 msm_straus(const std::vector<ScalarPoint>& terms, int width) {
-  const size_t tsize = size_t{1} << (width - 1);  // odd multiples 1,3,5,...
+// One term of an interleaved chain: the digits of its scalar (wnaf(k, w))
+// and the normalised odd multiples P, 3P, ..., (2^(w-1) - 1)P they index
+// (2^(w-2) entries, entry |d|/2).
+struct WnafTerm {
+  std::vector<int8_t> naf;
+  const PointR2Aff* table;
+};
 
-  struct Prepared {
-    size_t table_off = 0;
-    std::vector<int8_t> naf;
-  };
-  std::vector<Prepared> prep;
-  std::vector<PointR1> tables_r1;  // all tables, flattened
-  size_t max_len = 0;
-  for (const ScalarPoint& t : terms) {
-    if (t.k.is_zero()) continue;
-    Prepared pr;
-    pr.table_off = tables_r1.size();
-    PointR1 p1 = to_r1(t.p);
-    PointR2 two_p = to_r2(dbl(p1));
-    tables_r1.push_back(p1);
-    for (size_t j = 1; j < tsize; ++j)
-      tables_r1.push_back(add(tables_r1.back(), two_p));
-    pr.naf = wnaf(t.k, width);
-    max_len = std::max(max_len, pr.naf.size());
-    prep.push_back(std::move(pr));
-  }
-  if (prep.empty()) return identity();
-
-  // One inversion for every entry of every table.
-  std::vector<PointR2Aff> tables = batch_to_r2aff(tables_r1);
-
+// sum_i [k_i] P_i on one shared doubling chain: as many doublings as the
+// longest digit string, one mixed addition per non-zero digit of any term.
+PointR1 wnaf_chain(const std::vector<WnafTerm>& terms) {
+  size_t len = 0;
+  for (const WnafTerm& t : terms) len = std::max(len, t.naf.size());
   PointR1 q = identity();
-  for (size_t iu = max_len; iu-- > 0;) {
-    q = dbl(q);
-    for (const Prepared& pr : prep) {
-      if (iu >= pr.naf.size()) continue;
-      int d = pr.naf[iu];
+  for (size_t i = len; i-- > 0;) {
+    if (i + 1 < len) q = dbl(q);  // the identity doubles to itself, bit for bit
+    for (const WnafTerm& t : terms) {
+      if (i >= t.naf.size()) continue;
+      const int d = t.naf[i];
       if (d == 0) continue;
-      const PointR2Aff& entry =
-          tables[pr.table_off + static_cast<size_t>(std::abs(d) / 2)];
+      const PointR2Aff& entry = t.table[static_cast<size_t>(std::abs(d) / 2)];
       q = add_mixed(q, d > 0 ? entry : neg_r2aff(entry));
     }
   }
   return q;
+}
+
+// Appends P, 3P, ..., (2^(w-1) - 1)P in R1: the 2^(w-2) odd multiples a
+// width-w digit can index (|d| <= 2^(w-1) - 1, entry |d|/2).
+void append_odd_multiples(const Affine& p, int width, std::vector<PointR1>& out) {
+  const size_t tsize = size_t{1} << (width - 2);
+  const PointR1 p1 = to_r1(p);
+  const PointR2 two_p = to_r2(dbl(p1));
+  out.push_back(p1);
+  for (size_t j = 1; j < tsize; ++j) out.push_back(add(out.back(), two_p));
+}
+
+PointR1 msm_straus(const std::vector<ScalarPoint>& terms, int width) {
+  std::vector<WnafTerm> chain;
+  std::vector<size_t> table_off;
+  std::vector<PointR1> tables_r1;  // all tables, flattened
+  for (const ScalarPoint& t : terms) {
+    if (t.k.is_zero()) continue;
+    table_off.push_back(tables_r1.size());
+    append_odd_multiples(t.p, width, tables_r1);
+    chain.push_back({wnaf(t.k, width), nullptr});
+  }
+  if (chain.empty()) return identity();
+
+  // One inversion for every entry of every table.
+  const std::vector<PointR2Aff> tables = batch_to_r2aff(tables_r1);
+  for (size_t i = 0; i < chain.size(); ++i) chain[i].table = &tables[table_off[i]];
+  return wnaf_chain(chain);
+}
+
+// G's odd multiples for the joint verification chain, built on first use
+// from the generator constants and kept for the life of the process.
+constexpr int kGeneratorWnafWidth = 7;
+constexpr int kPointWnafWidth = 5;
+
+const std::vector<PointR2Aff>& generator_table() {
+  static const std::vector<PointR2Aff> table = [] {
+    std::vector<PointR1> r1;
+    append_odd_multiples(Affine{candidate_generator_x(), candidate_generator_y()},
+                         kGeneratorWnafWidth, r1);
+    return batch_to_r2aff(r1);
+  }();
+  return table;
 }
 
 // ---------------------------------------------------------------------------
@@ -520,6 +547,164 @@ size_t stage_chunk(StreamCtx& S, size_t r_n) {
   return m;
 }
 
+// ---------------------------------------------------------------------------
+// Bucket fold. Cell (j, s) folds its bucket range [lo, lo + seg_len) with
+// the classic descending chains: S picks up each used bucket, T adds S at
+// every level from the first used one down, so T = sum_b (b + 1)·B_b and
+// S = sum_b B_b over the range. `any` marks cells with a used bucket (T
+// and S start together).
+struct FoldOut {
+  std::vector<PointR1> t, s;
+  std::vector<uint8_t> any;
+};
+
+size_t cell_lo(const PipConfig& cfg, size_t cell) {
+  const size_t nseg = static_cast<size_t>(cfg.nseg);
+  return (cell / nseg) * cfg.half + (cell % nseg) * cfg.seg_len;
+}
+
+// The serial fold of one cell: the reference the lane waves reproduce.
+void fold_cell(const StreamCtx& S, size_t cell, FoldOut& out) {
+  const size_t lo = cell_lo(S.cfg, cell);
+  PointR1 sp{}, tp{};
+  bool started = false;
+  for (size_t b = S.cfg.seg_len; b-- > 0;) {
+    const size_t g = lo + b;
+    if (S.used[g]) {
+      sp = started ? add(sp, to_r2(S.bkt[g])) : S.bkt[g];
+      tp = started ? add(tp, to_r2(sp)) : sp;
+      started = true;
+    } else if (started) {
+      tp = add(tp, to_r2(sp));
+    }
+  }
+  if (started) {
+    out.t[cell] = tp;
+    out.s[cell] = sp;
+  }
+  out.any[cell] = started;
+}
+
+// F_{p^2} values of a fold wave: lane l belongs to one cell, and the value
+// stays in the active lane table's WaveBlock layout for the whole chain.
+// The operators let the curve formulas in point.hpp (to_r2, add) run on
+// waves unchanged; every lane of a result is computed.
+namespace lk = field::lanes;
+constexpr size_t kFoldLanes = lk::kWaveLanes;
+
+struct WaveFp2 {
+  lk::WaveBlock v{};
+  const lk::WaveOps* op = nullptr;
+};
+
+WaveFp2 operator*(const WaveFp2& a, const WaveFp2& b) {
+  WaveFp2 r;
+  r.op = a.op;
+  a.op->mul(a.v, b.v, r.v, kFoldLanes);
+  return r;
+}
+
+WaveFp2 operator+(const WaveFp2& a, const WaveFp2& b) {
+  WaveFp2 r;
+  r.op = a.op;
+  a.op->add(a.v, b.v, r.v, kFoldLanes);
+  return r;
+}
+
+WaveFp2 operator-(const WaveFp2& a, const WaveFp2& b) {
+  WaveFp2 r;
+  r.op = a.op;
+  a.op->sub(a.v, b.v, r.v, kFoldLanes);
+  return r;
+}
+
+using WavePoint = R1T<WaveFp2>;
+
+// Lane l of `out` := lane l of *src[l], coordinate by coordinate. A wave
+// whose lanes all pick one source is a plain copy.
+void select_lanes(const WavePoint* const* src, size_t n, WavePoint& out) {
+  bool uniform = true;
+  for (size_t l = 1; l < n; ++l) uniform = uniform && src[l] == src[0];
+  if (uniform) {
+    if (src[0] != &out) out = *src[0];
+    return;
+  }
+  const lk::WaveOps& op = *out.X.op;
+  WaveFp2 WavePoint::*const coords[] = {&WavePoint::X, &WavePoint::Y, &WavePoint::Z,
+                                        &WavePoint::Ta, &WavePoint::Tb};
+  for (WaveFp2 WavePoint::*c : coords) {
+    const lk::WaveBlock* blocks[kFoldLanes];
+    for (size_t l = 0; l < n; ++l) blocks[l] = &(src[l]->*c).v;
+    // Lanes >= n keep out's values: every lane stays a valid element.
+    lk::WaveBlock tmp = (out.*c).v;
+    op.gather(blocks, tmp, n);
+    (out.*c).v = tmp;
+  }
+}
+
+// fold_cell for cells [c0, c0 + n), n <= 8, as one chain of lane waves.
+// At each level every lane computes both candidate steps and the selects
+// keep exactly the step fold_cell takes for that cell — a bucket joins S
+// only where it is used, T starts at the cell's first used level — so
+// each lane's S and T equal fold_cell's, bit for bit after get().
+void fold_wave(const StreamCtx& S, size_t c0, size_t n, FoldOut& out) {
+  const PipConfig& cfg = S.cfg;
+  const lk::WaveOps& op = lk::active().wave;
+  WaveFp2 zero;
+  zero.op = &op;
+  WaveFp2 two_d = zero;
+  for (size_t l = 0; l < kFoldLanes; ++l)
+    op.set(two_d.v, l, curve_2d().re().raw(), curve_2d().im().raw());
+  WavePoint sp{zero, zero, zero, zero, zero}, tp = sp, bp = sp, s_add = sp, t_add = sp;
+
+  size_t lo[kFoldLanes];
+  bool started[kFoldLanes] = {};
+  for (size_t l = 0; l < n; ++l) lo[l] = cell_lo(cfg, c0 + l);
+  const WavePoint* pick[kFoldLanes];
+  for (size_t b = cfg.seg_len; b-- > 0;) {
+    bool used[kFoldLanes] = {}, any_used = false, any_started = false, any_add = false;
+    for (size_t l = 0; l < n; ++l) {
+      used[l] = S.used[lo[l] + b] != 0;
+      any_used = any_used || used[l];
+      any_started = any_started || started[l];
+      any_add = any_add || (used[l] && started[l]);
+    }
+    if (!any_used && !any_started) continue;  // above every cell's top bucket
+    if (any_used) {
+      for (size_t l = 0; l < n; ++l) {
+        if (!used[l]) continue;
+        const PointR1& src = S.bkt[lo[l] + b];
+        const Fp2* from[] = {&src.X, &src.Y, &src.Z, &src.Ta, &src.Tb};
+        WaveFp2* to[] = {&bp.X, &bp.Y, &bp.Z, &bp.Ta, &bp.Tb};
+        for (int k = 0; k < 5; ++k) op.set(to[k]->v, l, from[k]->re().raw(), from[k]->im().raw());
+      }
+      if (any_add) s_add = add(sp, to_r2(bp, two_d));
+      // S: used and started -> S + B; used first time -> B; else S.
+      for (size_t l = 0; l < n; ++l) pick[l] = used[l] ? (started[l] ? &s_add : &bp) : &sp;
+      select_lanes(pick, n, sp);
+    }
+    // T: started before this level -> T + S; started here -> S; else T.
+    if (any_started) t_add = add(tp, to_r2(sp, two_d));
+    for (size_t l = 0; l < n; ++l)
+      pick[l] = started[l] ? &t_add : (used[l] ? &sp : &tp);
+    select_lanes(pick, n, tp);
+    for (size_t l = 0; l < n; ++l) started[l] = started[l] || used[l];
+  }
+
+  const auto get = [&](const WaveFp2& w, size_t l) {
+    u128 re, im;
+    op.get(w.v, l, re, im);
+    return lk::join_unchecked(re, im);
+  };
+  for (size_t l = 0; l < n; ++l) {
+    const size_t cell = c0 + l;
+    out.any[cell] = started[l];
+    if (!started[l]) continue;
+    out.t[cell] = PointR1{get(tp.X, l), get(tp.Y, l), get(tp.Z, l), get(tp.Ta, l), get(tp.Tb, l)};
+    out.s[cell] = PointR1{get(sp.X, l), get(sp.Y, l), get(sp.Z, l), get(sp.Ta, l), get(sp.Tb, l)};
+  }
+}
+
 // The streaming core: pull chunks until the source is exhausted, then fold
 // the persistent buckets. Fold order is fixed — per segment the classic
 // descending S/T chains give T_s = sum_b (local multiplier)·B_b and
@@ -590,31 +775,24 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
   }
   const auto t_fold = clk::now();
 
-  // Per-cell fold: descending S/T chains over the cell's bucket range.
-  std::vector<PointR1> segT(ncell), segS(ncell);
-  std::vector<uint8_t> t_any(ncell, 0), s_any(ncell, 0);
-  S.mem_add(ncell * (2 * sizeof(PointR1) + 2));
-  run_tasks(S.par, ncell, [&](size_t cell) {
-    const size_t j = cell / static_cast<size_t>(cfg.nseg);
-    const size_t s = cell % static_cast<size_t>(cfg.nseg);
-    const size_t lo = j * cfg.half + s * cfg.seg_len;
-    PointR1 sp{}, tp{};
-    bool sa = false, ta = false;
-    for (size_t b = cfg.seg_len; b-- > 0;) {
-      const size_t g = lo + b;
-      if (S.used[g]) {
-        sp = sa ? add(sp, to_r2(S.bkt[g])) : S.bkt[g];
-        sa = true;
-      }
-      if (!sa) continue;  // no buckets at or above this level yet
-      tp = ta ? add(tp, to_r2(sp)) : sp;
-      ta = true;
-    }
-    if (ta) segT[cell] = tp;
-    if (sa) segS[cell] = sp;
-    t_any[cell] = ta;
-    s_any[cell] = sa;
-  });
+  // Per-cell fold: descending S/T chains over the cell's bucket range —
+  // eight cells per lane wave when lanes are on, one at a time otherwise.
+  // Both run the same steps per cell, so their results agree bit for bit.
+  // The generic table computes a wave as eight scalar ops, and a wave pays
+  // both candidate steps at every level where the serial fold skips
+  // unused buckets, so there the serial fold is the faster one.
+  FoldOut fo{std::vector<PointR1>(ncell), std::vector<PointR1>(ncell),
+             std::vector<uint8_t>(ncell, 0)};
+  S.mem_add(ncell * (2 * sizeof(PointR1) + 1));
+  if (cfg.lanes && &lk::active() != &lk::generic_kernels()) {
+    const size_t nwave = (ncell + kFoldLanes - 1) / kFoldLanes;
+    run_tasks(S.par, nwave, [&](size_t w) {
+      const size_t c0 = w * kFoldLanes;
+      fold_wave(S, c0, std::min(kFoldLanes, ncell - c0), fo);
+    });
+  } else {
+    run_tasks(S.par, ncell, [&](size_t cell) { fold_cell(S, cell, fo); });
+  }
 
   // Deterministic combine, MSB-first.
   PointR1 q{};
@@ -627,16 +805,16 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     bool wa = false;
     for (size_t s = static_cast<size_t>(cfg.nseg); s-- > 0;) {
       const size_t cell = j * static_cast<size_t>(cfg.nseg) + s;
-      if (!t_any[cell]) continue;
-      w = wa ? add(w, to_r2(segT[cell])) : segT[cell];
+      if (!fo.any[cell]) continue;
+      w = wa ? add(w, to_r2(fo.t[cell])) : fo.t[cell];
       wa = true;
     }
     PointR1 r{}, u{};
     bool ra = false, ua = false;
     for (int s = cfg.nseg - 1; s >= 1; --s) {
       const size_t cell = j * static_cast<size_t>(cfg.nseg) + static_cast<size_t>(s);
-      if (s_any[cell]) {
-        r = ra ? add(r, to_r2(segS[cell])) : segS[cell];
+      if (fo.any[cell]) {
+        r = ra ? add(r, to_r2(fo.s[cell])) : fo.s[cell];
         ra = true;
       }
       if (!ra) continue;
@@ -729,6 +907,8 @@ MsmTermSource vector_source(const std::vector<ScalarPoint>& terms, size_t* pos) 
 // up to 2^w - 1, which can carry past bit 255 for scalars near 2^256); each
 // digit step touches only the limbs the carry actually reaches, instead of
 // the full-width U512 add/sub the original construction used.
+// Each non-zero digit is mods or mods - 2^w for mods = n mod 2^w odd, so
+// |d| <= 2^(w-1) - 1.
 
 std::vector<int8_t> wnaf(const U256& k, int width) {
   FOURQ_CHECK(width >= 2 && width <= 7);
@@ -758,6 +938,17 @@ std::vector<int8_t> wnaf(const U256& k, int width) {
     n[4] >>= 1;
   }
   return digits;
+}
+
+// ---------------------------------------------------------------------------
+// Joint verification chain.
+
+PointR1 generator_double_mul(const U256& a, const U256& b, const Affine& p) {
+  std::vector<PointR1> p_r1;
+  append_odd_multiples(p, kPointWnafWidth, p_r1);
+  const std::vector<PointR2Aff> p_table = batch_to_r2aff(p_r1);
+  return wnaf_chain({{wnaf(a, kGeneratorWnafWidth), generator_table().data()},
+                     {wnaf(b, kPointWnafWidth), p_table.data()}});
 }
 
 // ---------------------------------------------------------------------------

@@ -121,9 +121,10 @@ struct MsmOptions {
   // the fold shape — and the bitwise result — never depends on thread
   // count.
   int segments = 0;
-  // Lane-kernel bucket insertion (8-wide SoA mixed-add waves). kOff forces
-  // the scalar one-add-at-a-time path; the truly-serial reference the
-  // bench_msm_large speedup gate divides by.
+  // Lane kernels: bucket insertion as 16-entry mixed-add waves and the
+  // bucket fold as 8-cell WaveOps waves. kOff forces the scalar
+  // one-add-at-a-time path, the truly-serial reference the
+  // bench_msm_large speedup gate divides by; both give the same bits.
   MsmTri lanes = MsmTri::kAuto;
   // Optional per-call stats sink (see MsmStats).
   MsmStats* stats = nullptr;
@@ -162,9 +163,17 @@ using MsmTermSource = std::function<size_t(ScalarPoint* out, size_t max)>;
 PointR1 multi_scalar_mul_stream(const MsmTermSource& src, size_t n_hint,
                                 const MsmOptions& opts);
 
-// Width-w non-adjacent form of k: digits in {0, ±1, ±3, ..., ±(2^w - 1)},
-// at most one non-zero digit in any w consecutive positions. Exposed for
-// tests. digits[i] weights 2^i; result length <= 257.
+// Width-w non-adjacent form of k: digits in {0, ±1, ±3, ..., ±(2^(w-1) - 1)},
+// at most one non-zero digit in any w consecutive positions. digits[i]
+// weights 2^i; result length <= 257.
 std::vector<int8_t> wnaf(const U256& k, int width);
+
+// [a]G + [b]P on one interleaved wNAF doubling chain (the loop the Straus
+// backend runs), G the FourQ subgroup generator — the double-scalar
+// multiplication of signature verification. G's width-7 table (32
+// entries) is built on the first call and kept for the process; P's
+// width-5 table (8 entries) is built per call and normalised with one
+// inversion. For a, b < N < 2^247: ~246 doublings and ~72 mixed additions.
+PointR1 generator_double_mul(const U256& a, const U256& b, const Affine& p);
 
 }  // namespace fourq::curve

@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "curve/multiscalar.hpp"
 #include "curve/params.hpp"
-#include "curve/scalarmul.hpp"
 #include "hash/hmac.hpp"
 #include "hash/sha256.hpp"
 
@@ -11,8 +10,7 @@ namespace fourq::dsa {
 
 EcdsaFourQ::EcdsaFourQ()
     : n_(curve::candidate_subgroup_order()),
-      g_{curve::candidate_generator_x(), curve::candidate_generator_y()},
-      g_mul_(g_) {
+      g_mul_(curve::Affine{curve::candidate_generator_x(), curve::candidate_generator_y()}) {
   auto v = curve::validate_params();
   FOURQ_CHECK_MSG(v.all_ok(), "FourQ subgroup constants failed validation");
 }
@@ -74,8 +72,8 @@ bool EcdsaFourQ::verify(const curve::Affine& pub, const std::string& msg,
   // Step 3: u1 = z w, u2 = r w.
   U256 u1 = n_.from_monty(n_.mul(n_.to_monty(z), n_.to_monty(w)));
   U256 u2 = n_.from_monty(n_.mul(n_.to_monty(sig.r), n_.to_monty(w)));
-  // Step 4: (x1, y1) = [u1]G + [u2]Q via one 2-term MSM.
-  curve::PointR1 sum = curve::multi_scalar_mul({{u1, g_}, {u2, pub}});
+  // Step 4: (x1, y1) = [u1]G + [u2]Q on one shared doubling chain.
+  curve::PointR1 sum = curve::generator_double_mul(u1, u2, pub);
   if (curve::is_identity(sum)) return false;
   // Step 5: valid iff r == f(x1) mod n.
   return point_to_scalar(curve::to_affine(sum)) == sig.r;

@@ -46,7 +46,6 @@ class EcdsaFourQ {
   U256 hash_z(const std::string& msg) const;
 
   Monty n_;
-  curve::Affine g_;
   curve::FixedBaseMul g_mul_;
 };
 

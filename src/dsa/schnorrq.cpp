@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "curve/multiscalar.hpp"
 #include "curve/params.hpp"
-#include "curve/scalarmul.hpp"
 #include "hash/hmac.hpp"
 #include "hash/sha256.hpp"
 
@@ -13,8 +12,31 @@ namespace fourq::dsa {
 
 namespace {
 
-std::string encode_point(const curve::Affine& p) {
-  return p.x.to_hex() + p.y.to_hex();
+// Transcript encoding of a point: x then y, each F_{p^2} coordinate as
+// re "+" im "i" with 32 lower-case hex digits per component — the bytes
+// Fp2::to_hex() spells — written into a fixed buffer.
+constexpr size_t kFpHex = 32;
+constexpr size_t kFp2Hex = 2 * kFpHex + 2;
+constexpr size_t kPointHex = 2 * kFp2Hex;
+
+char* put_hex(char* out, const field::Fp& v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  const uint64_t w[2] = {v.hi(), v.lo()};
+  for (uint64_t word : w)
+    for (int shift = 60; shift >= 0; shift -= 4) *out++ = kDigits[(word >> shift) & 0xf];
+  return out;
+}
+
+char* put_hex(char* out, const curve::Fp2& v) {
+  out = put_hex(out, v.re());
+  *out++ = '+';
+  out = put_hex(out, v.im());
+  *out++ = 'i';
+  return out;
+}
+
+char* encode_point(char* out, const curve::Affine& p) {
+  return put_hex(put_hex(out, p.x), p.y);
 }
 
 }  // namespace
@@ -29,9 +51,10 @@ SchnorrQ::SchnorrQ()
 
 U256 SchnorrQ::challenge(const curve::Affine& r, const curve::Affine& pub,
                          const std::string& msg) const {
+  char buf[2 * kPointHex];
+  encode_point(encode_point(buf, r), pub);
   hash::Sha256 h;
-  h.update(encode_point(r));
-  h.update(encode_point(pub));
+  h.update(reinterpret_cast<const uint8_t*>(buf), sizeof buf);
   h.update(msg);
   return mod(hash::digest_to_u256(h.finalize()), n_.modulus());
 }
@@ -64,11 +87,12 @@ bool SchnorrQ::verify(const curve::Affine& pub, const std::string& msg,
   if (!curve::on_curve(pub) || !curve::on_curve(sig.r)) return false;
   if (sig.s >= n_.modulus()) return false;
   U256 e = challenge(sig.r, pub, msg);
-  // [s]G == R + [e]Q
-  curve::PointR1 lhs = g_mul_.mul(sig.s);
-  curve::PointR1 rhs =
-      curve::add(curve::to_r1(sig.r), curve::to_r2(curve::scalar_mul(e, pub)));
-  return curve::equal(lhs, rhs);
+  // [s]G + [e](-Q) == R: the group equation [s]G == R + [e]Q with [e]Q
+  // moved across, on one shared doubling chain. The point is negated, not
+  // the scalar mod N, so the equation holds in the full group and keys
+  // with a torsion component get the same verdict as the two-sided form.
+  return curve::equal(curve::generator_double_mul(sig.s, e, curve::neg(pub)),
+                      curve::to_r1(sig.r));
 }
 
 bool SchnorrQ::verify_batch(const std::vector<BatchItem>& items, Rng& rng,
@@ -89,9 +113,10 @@ bool SchnorrQ::verify_batch(const std::vector<BatchItem>& items, Rng& rng,
     do {
       z = U256(rng.next_u64(), rng.next_u64(), 0, 0);
     } while (z.is_zero());
-    U256 zs = n_.from_monty(n_.mul(n_.to_monty(z), n_.to_monty(it.sig.s)));
-    sum_zs = addmod(sum_zs, zs, n_.modulus());
-    U256 ze = n_.from_monty(n_.mul(n_.to_monty(z), n_.to_monty(e)));
+    // Monty::mul(z*R, x) = z*x mod N: one conversion serves both products.
+    const U256 zr = n_.to_monty(z);
+    sum_zs = addmod(sum_zs, n_.mul(zr, it.sig.s), n_.modulus());
+    const U256 ze = n_.mul(zr, e);
     // The weight term is declared at its native half length: its wNAF /
     // window digits stop at bit 127 instead of being padded to 256.
     terms.push_back({z, it.sig.r, 128});

@@ -43,6 +43,12 @@ class SchnorrQ {
   curve::Affine public_key(const U256& secret) const;
 
   Signature sign(const KeyPair& kp, const std::string& msg) const;
+  // Checks [s]G + [e](-Q) == R for e = challenge(R, Q, msg) — the group
+  // equation [s]G == R + [e]Q — on one interleaved wNAF doubling chain
+  // (curve::generator_double_mul): ~246 doublings and ~72 mixed additions
+  // over G's process-wide width-7 table and a per-call width-5 table of
+  // -Q, where separate [s]G and [e]Q multiplications cost 320 doublings
+  // and ~140 additions.
   bool verify(const curve::Affine& pub, const std::string& msg, const Signature& sig) const;
 
   // Batch verification (Bellare–Garay–Rabin small-exponent test): checks

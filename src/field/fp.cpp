@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "common/hexutil.hpp"
-#include "field/alg2.hpp"
 
 namespace fourq::field {
 
@@ -29,22 +28,6 @@ std::string Fp::to_hex() const {
   uint64_t w[2] = {lo(), hi()};
   return words_to_hex(w, 2);
 }
-
-Fp operator+(const Fp& a, const Fp& b) { return Fp(alg2::add(a.v_, b.v_)); }
-
-Fp operator-(const Fp& a, const Fp& b) { return Fp(alg2::sub(a.v_, b.v_)); }
-
-Fp Fp::operator-() const { return Fp() - *this; }
-
-U256 Fp::mul_wide(const Fp& a, const Fp& b) { return alg2::mul(a.v_, b.v_); }
-
-U256 Fp::sqr_wide(const Fp& a) { return alg2::sqr(a.v_); }
-
-Fp Fp::reduce_wide(const U256& v) { return Fp(alg2::fold(v)); }
-
-Fp operator*(const Fp& a, const Fp& b) { return Fp(alg2::fold(alg2::mul(a.v_, b.v_))); }
-
-Fp Fp::sqr() const { return Fp(alg2::fold(alg2::sqr(v_))); }
 
 Fp Fp::sqr_n(int n) const {
   Fp r = *this;

@@ -10,6 +10,7 @@
 
 #include "common/u128.hpp"
 #include "common/u256.hpp"
+#include "field/alg2.hpp"
 
 namespace fourq::field {
 
@@ -50,15 +51,20 @@ class Fp {
   friend bool operator==(const Fp& a, const Fp& b) { return a.v_ == b.v_; }
   friend bool operator!=(const Fp& a, const Fp& b) { return a.v_ != b.v_; }
 
-  friend Fp operator+(const Fp& a, const Fp& b);
-  friend Fp operator-(const Fp& a, const Fp& b);
-  friend Fp operator*(const Fp& a, const Fp& b);
-  Fp operator-() const;
+  // The arithmetic operators are defined here, over the stage code in
+  // alg2.hpp, so the point formulas compile to straight-line limb code
+  // instead of one call per field op.
+  friend Fp operator+(const Fp& a, const Fp& b) { return Fp(alg2::add(a.v_, b.v_)); }
+  friend Fp operator-(const Fp& a, const Fp& b) { return Fp(alg2::sub(a.v_, b.v_)); }
+  friend Fp operator*(const Fp& a, const Fp& b) {
+    return Fp(alg2::fold(alg2::mul(a.v_, b.v_)));
+  }
+  Fp operator-() const { return Fp() - *this; }
 
   // Dedicated squaring: exploits the symmetry of the product (the two cross
   // partial products are equal), so it needs 3 64x64 multiplies where the
   // general multiplication needs 4. Bit-identical to `*this * *this`.
-  Fp sqr() const;
+  Fp sqr() const { return Fp(alg2::fold(alg2::sqr(v_))); }
   // Multiplicative inverse via Fermat (x^(p-2)) by a fixed addition chain
   // (126 squarings, 12 multiplications); x must be non-zero.
   Fp inv() const;
@@ -75,13 +81,13 @@ class Fp {
 
   // The 254-bit product a*b as a U256, *without* modular reduction.
   // This is the value the lazy-reduction datapath carries between units.
-  static U256 mul_wide(const Fp& a, const Fp& b);
+  static U256 mul_wide(const Fp& a, const Fp& b) { return alg2::mul(a.v_, b.v_); }
   // The 254-bit square a*a as a U256, without reduction (3 64x64 multiplies).
-  static U256 sqr_wide(const Fp& a);
+  static U256 sqr_wide(const Fp& a) { return alg2::sqr(a.v_); }
   // Mersenne fold of a 256-bit value into [0, p):
   // interprets v = A + B*2^127 + C*2^254 and returns A + B + C mod p
   // (paper Alg. 2, steps t9/t10).
-  static Fp reduce_wide(const U256& v);
+  static Fp reduce_wide(const U256& v) { return Fp(alg2::fold(v)); }
 
  private:
   constexpr explicit Fp(u128 v) : v_(v) {}

@@ -3,27 +3,12 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "field/alg2.hpp"
 #include "field/fp_lanes.hpp"
 
 namespace fourq::field {
 
-Fp2 Fp2::mul_karatsuba(const Fp2& x, const Fp2& y) {
-  u128 z0, z1;
-  alg2::fp2_mul(x.a_.raw(), x.b_.raw(), y.a_.raw(), y.b_.raw(), z0, z1);
-  return Fp2(Fp::from_canonical_unchecked(z0), Fp::from_canonical_unchecked(z1));
-}
-
 Fp2 Fp2::mul_schoolbook(const Fp2& x, const Fp2& y) {
-  Fp c0 = x.a_ * y.a_ - x.b_ * y.b_;
-  Fp c1 = x.a_ * y.b_ + x.b_ * y.a_;
-  return Fp2(c0, c1);
-}
-
-Fp2 Fp2::sqr() const {
-  u128 z0, z1;
-  alg2::fp2_sqr(a_.raw(), b_.raw(), z0, z1);
-  return Fp2(Fp::from_canonical_unchecked(z0), Fp::from_canonical_unchecked(z1));
+  return Fp2(x.a_ * y.a_ - x.b_ * y.b_, x.a_ * y.b_ + x.b_ * y.a_);
 }
 
 Fp2 Fp2::inv() const {
@@ -65,6 +50,35 @@ bool Fp2::sqrt(Fp2& root) const {
     }
   }
   return false;
+}
+
+bool Fp2::sqrt_ratio(const Fp2& u, const Fp2& v, Fp2& root) {
+  const Fp m = v.norm();
+  if (m.is_zero()) return false;
+  // u/v = w/m with w = u*conj(v) = w0 + w1*i. norm(w) = norm(u/v) * m^2,
+  // so u/v is a square iff norm(w) is one in F_p.
+  const Fp2 w = u * v.conj();
+  const Fp n = w.norm();
+  if (n.is_zero()) {  // w == 0: norm is anisotropic over F_p
+    root = Fp2();
+    return true;
+  }
+  const Fp s = n.sqr_n(125);  // n^((p+1)/4)
+  if (s.sqr() != n) return false;
+  // The root x = a + b*i has a^2 = (w0 + s)/(2m) for one sign of s; take
+  // tau = w0 ± s non-zero (both vanish only when w == 0). With
+  // A = 2*tau*m^3 and r = A^((p-3)/4), r^2 = ±1/A. When A is a square,
+  // a = tau*m*r and b = w1*m*r (a^2 - b^2 = w0/m and 2ab = w1/m follow
+  // from tau^2 - w1^2 = 2*w0*tau). When it is not, the same two values
+  // are b and -a: x is i times the first candidate.
+  Fp tau = w.re() + s;
+  if (tau.is_zero()) tau = w.re() - s;
+  const Fp a = (tau + tau) * m.sqr() * m;
+  const Fp r = a.pow_p34();
+  const Fp mr = m * r;
+  const Fp2 cand(tau * mr, w.im() * mr);
+  root = (a * r.sqr() == Fp::from_u64(1)) ? cand : Fp2(-cand.im(), cand.re());
+  return true;
 }
 
 namespace {

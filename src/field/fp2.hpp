@@ -42,12 +42,23 @@ class Fp2 {
   Fp2 operator-() const { return Fp2(-a_, -b_); }
   friend Fp2 operator*(const Fp2& x, const Fp2& y) { return mul_karatsuba(x, y); }
 
-  // Paper Algorithm 2 (Karatsuba + lazy reduction, 3 F_p muls).
-  static Fp2 mul_karatsuba(const Fp2& x, const Fp2& y);
-  // Conventional 4-mul F_{p^2} multiplication with eager reduction.
+  // Paper Algorithm 2 (Karatsuba + lazy reduction, 3 F_p muls). Inline,
+  // like every operator here: the point formulas chain 7-15 of them.
+  static Fp2 mul_karatsuba(const Fp2& x, const Fp2& y) {
+    u128 z0, z1;
+    alg2::fp2_mul(x.a_.raw(), x.b_.raw(), y.a_.raw(), y.b_.raw(), z0, z1);
+    return Fp2(Fp::from_canonical_unchecked(z0), Fp::from_canonical_unchecked(z1));
+  }
+  // Conventional 4-mul F_{p^2} multiplication with eager reduction: the
+  // reference bench_field_ratio compares operator* against. Not a hot-path
+  // operator, so it stays out of line.
   static Fp2 mul_schoolbook(const Fp2& x, const Fp2& y);
 
-  Fp2 sqr() const;
+  Fp2 sqr() const {
+    u128 z0, z1;
+    alg2::fp2_sqr(a_.raw(), b_.raw(), z0, z1);
+    return Fp2(Fp::from_canonical_unchecked(z0), Fp::from_canonical_unchecked(z1));
+  }
   // Complex conjugate a - b*i.
   Fp2 conj() const { return Fp2(a_, -b_); }
   // Field norm a^2 + b^2 ∈ F_p.
@@ -56,6 +67,12 @@ class Fp2 {
   Fp2 inv() const;
   // Square root in F_{p^2} when one exists.
   bool sqrt(Fp2& root) const;
+  // A square root of u/v when v != 0 and one exists, without inverting v:
+  // u/v = u*conj(v) / norm(v) leaves only F_p exponentiations, and the
+  // inverse of norm(v) folds into the one x^((p-3)/4) that also yields
+  // the root. Returns false when v == 0 or u/v is a non-square. Which of
+  // the two roots comes back is unspecified.
+  static bool sqrt_ratio(const Fp2& u, const Fp2& v, Fp2& root);
 
   // Scale by a small integer (used by doubling/table formulas).
   Fp2 dbl() const { return *this + *this; }

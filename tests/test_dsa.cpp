@@ -2,6 +2,8 @@
 // (paper §II-A workflow), including negative cases.
 #include <gtest/gtest.h>
 
+#include "curve/fixed_base.hpp"
+#include "curve/scalarmul.hpp"
 #include "dsa/ecdsa_fourq.hpp"
 #include "dsa/ecdsa_p256.hpp"
 #include "dsa/schnorrq.hpp"
@@ -60,6 +62,89 @@ TEST_F(SchnorrTest, RejectsOutOfRangeS) {
   auto sig = scheme.sign(kp, "msg");
   sig.s = scheme.order();
   EXPECT_FALSE(scheme.verify(kp.pub, "msg", sig));
+}
+
+TEST_F(SchnorrTest, ChallengeKnownAnswer) {
+  // Pins the Fiat–Shamir transcript: the hex encodings of R and Q (x then
+  // y, each re "+" im "i", 32 lower-case digits per component) followed by
+  // the message bytes, hashed with SHA-256 and reduced mod N. A change to
+  // how challenge() builds those bytes must leave these values unchanged.
+  const curve::Affine& g = scheme.generator();
+  const curve::Affine q = scheme.public_key(U256(0x1234567));
+  EXPECT_EQ(scheme.challenge(g, q, "fourq challenge kat").to_hex(),
+            "0010e5b0b839bc267faf4e530434e491f79b047ebb5f3072ad9c0331f12ef443");
+  EXPECT_EQ(scheme.challenge(q, g, "").to_hex(),
+            "001a12fb9249771954f975015fe8546b5044a7e194663fe76842c660ef2761f7");
+  const std::string bin("\0\x01\xff signed bytes", 17);
+  EXPECT_EQ(scheme.challenge(q, q, bin).to_hex(),
+            "001cf75127861fe684bc38e9cbc986885c473ce4c7c6f34d7786d4b1d73a06b6");
+}
+
+TEST_F(SchnorrTest, JointChainVerdictEqualsTwoSidedEquation) {
+  // verify() runs [s]G + [e](-Q) == R on one chain; the equation it
+  // replaced, [s]G == R + [e]Q with two separate multiplications, is kept
+  // here as the reference. Every verdict must match, on valid signatures,
+  // corrupted ones, and keys or commitments carrying the order-2 point
+  // T = (0, -1), where [e]T vanishes only for even e.
+  const curve::FixedBaseMul g_mul(scheme.generator());
+  const auto reference = [&](const curve::Affine& pub, const std::string& msg,
+                             const SchnorrQ::Signature& sig) {
+    if (!curve::on_curve(pub) || !curve::on_curve(sig.r) || sig.s >= scheme.order())
+      return false;
+    const U256 e = scheme.challenge(sig.r, pub, msg);
+    return curve::equal(g_mul.mul(sig.s), curve::add(curve::to_r1(sig.r),
+                                                     curve::to_r2(curve::scalar_mul(e, pub))));
+  };
+  const curve::Affine t{curve::Fp2(), -curve::Fp2::from_u64(1)};
+  // s = k + e*secret for e = H(R || pub || msg), R = [k]G or [k]G + T.
+  const auto sign_over = [&](const U256& secret, const curve::Affine& pub,
+                             const std::string& msg, bool r_torsion) {
+    const U256& n = scheme.order();
+    const U256 k = rng.next_mod_nonzero(n);
+    curve::Affine r = curve::to_affine(g_mul.mul(k));
+    if (r_torsion) r = curve::affine_add(r, t);
+    const U256 e = scheme.challenge(r, pub, msg);
+    return SchnorrQ::Signature{r, addmod(k, mod(mul_wide(e, secret), n), n)};
+  };
+  std::vector<SchnorrQ::KeyPair> keys;
+  for (int i = 0; i < 16; ++i) keys.push_back(scheme.keygen(rng));
+  constexpr int kInputs = 10002;
+  int accepted = 0, torsion_accepted = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    const SchnorrQ::KeyPair& kp = keys[static_cast<size_t>(i) % keys.size()];
+    std::string msg = "verdict " + std::to_string(i);
+    SchnorrQ::Signature sig = scheme.sign(kp, msg);
+    curve::Affine pub = kp.pub;
+    switch (i % 6) {
+      case 0:
+        break;
+      case 1: {  // one bit of s flipped, kept below N
+        const unsigned bit = static_cast<unsigned>(rng.next_below(240));
+        sig.s.set_bit(bit, !sig.s.bit(bit));
+        break;
+      }
+      case 2:
+        msg += " (altered)";
+        break;
+      case 3:
+        sig.s = U256();
+        break;
+      case 4:  // a signer publishing Q + T, signing over that transcript
+        pub = curve::affine_add(pub, t);
+        sig = sign_over(kp.secret, pub, msg, false);
+        break;
+      case 5:  // a commitment R + T, signed over that transcript
+        sig = sign_over(kp.secret, pub, msg, true);
+        break;
+    }
+    const bool want = reference(pub, msg, sig);
+    ASSERT_EQ(scheme.verify(pub, msg, sig), want) << "input " << i << " kind " << i % 6;
+    accepted += want;
+    if (i % 6 >= 4) torsion_accepted += want;
+  }
+  EXPECT_EQ(accepted - torsion_accepted, (kInputs + 5) / 6);  // exactly the valid ones
+  EXPECT_GT(torsion_accepted, 0);  // Q + T with even e
+  EXPECT_LT(torsion_accepted, kInputs / 6);  // R + T never, Q + T not always
 }
 
 TEST_F(SchnorrTest, PublicKeyRecomputation) {

@@ -197,6 +197,34 @@ TEST(Fp2, NonSquareDetected) {
   EXPECT_TRUE(found_nonsquare);
 }
 
+TEST(Fp2, SqrtRatioMatchesQuotientRoot) {
+  // sqrt_ratio(u, v) is a root of u/v exactly when Fp2::sqrt finds one,
+  // on random pairs (half non-square) and on squares scaled by v.
+  Rng rng(455);
+  int squares = 0;
+  for (int i = 0; i < 400; ++i) {
+    const Fp2 v = rand_fp2(rng);
+    const Fp2 u = (i % 2) ? rand_fp2(rng) : rand_fp2(rng).sqr() * v;
+    Fp2 want, got;
+    const bool has = (u * v.inv()).sqrt(want);
+    ASSERT_EQ(Fp2::sqrt_ratio(u, v, got), has) << i;
+    if (!has) continue;
+    ++squares;
+    EXPECT_TRUE(got == want || got == -want) << i;
+    EXPECT_EQ(got.sqr() * v, u) << i;
+  }
+  EXPECT_GT(squares, 250);
+  Fp2 r;
+  EXPECT_FALSE(Fp2::sqrt_ratio(Fp2::from_u64(1), Fp2(), r));  // v == 0
+  ASSERT_TRUE(Fp2::sqrt_ratio(Fp2(), Fp2::from_u64(3, 4), r));
+  EXPECT_TRUE(r.is_zero());
+  // Purely real and purely imaginary quotients: -1 = i^2 and i's roots.
+  ASSERT_TRUE(Fp2::sqrt_ratio(-Fp2::from_u64(1), Fp2::from_u64(1), r));
+  EXPECT_EQ(r.sqr(), -Fp2::from_u64(1));
+  ASSERT_TRUE(Fp2::sqrt_ratio(Fp2::from_u64(0, 2), Fp2::from_u64(2), r));
+  EXPECT_EQ(r.sqr(), Fp2::from_u64(0, 1));
+}
+
 TEST(Fp2, DblIsAddSelf) {
   Rng rng(47);
   Fp2 a = rand_fp2(rng);

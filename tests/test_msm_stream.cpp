@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -319,6 +320,38 @@ TEST(MsmStream, LaneWavesOffMatchesBitwise) {
   PointR1 got = multi_scalar_mul(terms, off);
   EXPECT_EQ(st_off.bucket_waves, 0u);
   expect_bitwise(got, want, "scalar adds vs lane waves");
+}
+
+TEST(MsmStream, LaneWaveFoldMatchesSerialFoldAndStraus) {
+  // The bucket fold runs eight cells per lane wave when lanes are on (on
+  // a vector kernel table) and one cell at a time when they are off. Both
+  // must give the same projective point for any window and pool width
+  // (waves are grouped by cell index, never by thread), and the same
+  // affine point as Straus.
+  for (size_t n : {size_t{40}, size_t{100}, size_t{2048}, size_t{5000}}) {
+    const std::vector<ScalarPoint> terms = mixed_terms(n, 0xf01d + n);
+    MsmOptions straus;
+    straus.backend = MsmBackend::kStraus;
+    const PointR1 want = multi_scalar_mul(terms, straus);
+    for (int window : {0, 5, 9}) {
+      MsmOptions off;
+      off.backend = MsmBackend::kPippenger;
+      off.window = window;
+      off.lanes = MsmTri::kOff;
+      const PointR1 serial = multi_scalar_mul(terms, off);
+      expect_same_point(serial, want, "lanes off vs straus");
+      for (unsigned workers : {0u, 1u, 2u, 8u}) {
+        MsmOptions on = off;
+        on.lanes = MsmTri::kOn;
+        if (workers) on.parallel = thread_pool_hook(workers, nullptr);
+        const PointR1 got = multi_scalar_mul(terms, on);
+        SCOPED_TRACE("n=" + std::to_string(n) + " window=" + std::to_string(window) +
+                     " workers=" + std::to_string(workers));
+        expect_bitwise(got, serial, "lane-wave fold vs serial fold");
+        expect_same_point(got, want, "lane-wave fold vs straus");
+      }
+    }
+  }
 }
 
 TEST(MsmStream, SegmentOverrideKeepsTheSum) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -43,6 +44,32 @@ TEST(Wnaf, DigitsAreOddAndBounded) {
       }
     }
   }
+}
+
+TEST(Wnaf, DigitsStayWithinHalfWindow) {
+  // A width-w digit is n mod 2^w or that minus 2^w, so it never exceeds
+  // 2^(w-1) - 1 in magnitude: the Straus and verification tables hold
+  // exactly the 2^(w-2) odd multiples those digits index.
+  Rng rng(626);
+  std::vector<U256> ks = {U256(), U256(1), U256(~0ull, ~0ull, ~0ull, ~0ull)};
+  U256 n_minus_1;
+  sub(candidate_subgroup_order(), U256(1), n_minus_1);
+  ks.push_back(n_minus_1);
+  for (int i = 0; i < 2000; ++i) ks.push_back(rng.next_u256());
+  for (int w = 2; w <= 7; ++w) {
+    const int bound = (1 << (w - 1)) - 1;
+    int max_seen = 0;
+    for (const U256& k : ks) {
+      for (int8_t d : wnaf(k, w)) {
+        if (d == 0) continue;
+        ASSERT_EQ(std::abs(d) % 2, 1) << "w=" << w;
+        ASSERT_LE(std::abs(d), bound) << "w=" << w;
+        max_seen = std::max(max_seen, std::abs(static_cast<int>(d)));
+      }
+    }
+    EXPECT_EQ(max_seen, bound) << "w=" << w << ": the largest entry is read";
+  }
+  EXPECT_TRUE(wnaf(U256(), 5).empty());
 }
 
 TEST(Wnaf, NonAdjacency) {
@@ -183,6 +210,27 @@ TEST(MultiScalar, CancellationToIdentity) {
   Affine np = neg(p);
   U256 k(0xabcdef);
   EXPECT_TRUE(is_identity(multi_scalar_mul({{k, p}, {k, np}})));
+}
+
+TEST(MultiScalar, GeneratorDoubleMulMatchesSeparateProducts) {
+  // [a]G + [b]P on the joint chain against two separate scalar
+  // multiplications, for random, edge and full-width scalars and for a
+  // point outside the prime-order subgroup.
+  const Affine g{candidate_generator_x(), candidate_generator_y()};
+  U256 n_minus_1;
+  sub(candidate_subgroup_order(), U256(1), n_minus_1);
+  const U256 all_ones(~0ull, ~0ull, ~0ull, ~0ull);
+  Rng rng(627);
+  std::vector<std::pair<U256, U256>> ab = {{U256(), U256()},      {U256(1), U256()},
+                                           {U256(), U256(1)},     {n_minus_1, n_minus_1},
+                                           {all_ones, all_ones},  {U256(2), all_ones}};
+  for (int i = 0; i < 12; ++i) ab.emplace_back(rng.next_u256(), mod(rng.next_u256(), n_minus_1));
+  for (const Affine& p : {deterministic_point(68), g, Affine{Fp2(), Fp2::from_u64(1)}}) {
+    for (const auto& [a, b] : ab) {
+      const PointR1 want = add(scalar_mul(a, g), to_r2(scalar_mul(b, p)));
+      EXPECT_TRUE(equal(generator_double_mul(a, b, p), want));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
